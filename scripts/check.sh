@@ -11,7 +11,9 @@
 # and allocation machinery must never introduce (use-after-free across
 # handler quarantine, fence lifetime mistakes during stack unwinding,
 # dangling span frames across ring eviction, pool accounting races on
-# drop paths, slab-gate behaviour divergence, ...).
+# drop paths, slab-gate behaviour divergence, ...). Wall-clock, overload,
+# chaos, adversarial and paper-baseline gates follow, and last a
+# virtual-time identity gate for the default engine's perfbench workloads.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -128,3 +130,20 @@ PLEXUS_BATCH=off "$PERF_BUILD_DIR/bench/bench_scale_connections" \
   --sizes 100,1000,10000,100000 --json "$BENCH_TMP/BENCH_scale.json"
 python3 scripts/bench_compare.py bench/baselines/BENCH_scale.json \
   "$BENCH_TMP/BENCH_scale.json" --exact-unit sim_ns
+
+echo "=== virtual-time gate: default-engine perfbench digests vs committed baselines ==="
+# The gates above pin PLEXUS_BATCH=off; this one pins the engine users run.
+# Each perfbench workload's model.digest hashes its virtual-time window
+# (latencies, CPU busy, exact byte counts), so any drift means the model
+# changed. The self-test then checks the benchmark itself.
+while read -r workload digest; do
+  [[ -z "$workload" || "$workload" == \#* ]] && continue
+  got="$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 |
+    awk -v w="$workload" '$1 == "model.digest" && $2 == w && NF == 3 { print $3 }')"
+  if [[ "$got" != "$digest" ]]; then
+    echo "model.digest $workload: got '$got', baseline $digest" >&2
+    exit 1
+  fi
+  echo "model.digest $workload $got: matches baseline"
+done < bench/baselines/perfbench_digests.txt
+python3 perfbench/run.py --self-test

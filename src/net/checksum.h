@@ -29,6 +29,8 @@ class InternetChecksum {
   std::uint16_t Finish() const;
 
  private:
+  // Native-byte-order 1s-complement sum (64-bit, end-around carry);
+  // Finish() folds it and swaps it to network order once.
   std::uint64_t sum_ = 0;
   bool odd_ = false;  // true if an odd byte has been consumed (next byte is low-order)
 };

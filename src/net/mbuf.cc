@@ -68,30 +68,41 @@ MbufPtr Mbuf::CloneSegment(const Mbuf& other) {
   return MbufPtr(new Mbuf(other.storage_, other.offset_, other.length_));
 }
 
-MbufPtr Mbuf::NewSegment(std::size_t capacity, std::size_t offset, std::size_t length) {
-  return MbufPtr(
-      new Mbuf(NewStorage(capacity, offset + length, nullptr), offset, length));
-}
-
-MbufPtr Mbuf::Allocate(std::size_t len, std::size_t headroom) {
-  PLEXUS_PROFILE_SCOPE(kMbufAlloc);
-  PLEXUS_PROFILE_BYTES(kMbufAllocBytes, len);
+MbufPtr Mbuf::NewChain(std::size_t len, std::size_t headroom, bool zero_payload,
+                       MbufPoolControl* pool) {
+  auto segment = [&](std::size_t capacity, std::size_t offset, std::size_t length) {
+    return MbufPtr(new Mbuf(
+        NewStorage(capacity, zero_payload ? offset + length : offset, pool), offset,
+        length));
+  };
   const std::size_t first_payload = std::min(len, kClusterSize);
-  MbufPtr head = NewSegment(headroom + std::max<std::size_t>(first_payload, 1), headroom,
-                            first_payload);
+  MbufPtr head = segment(headroom + std::max<std::size_t>(first_payload, 1), headroom,
+                         first_payload);
   std::size_t remaining = len - first_payload;
   Mbuf* tail = head.get();
   while (remaining > 0) {
     const std::size_t n = std::min(remaining, kClusterSize);
-    tail->next_ = NewSegment(n, 0, n);
+    tail->next_ = segment(n, 0, n);
     tail = tail->next_.get();
     remaining -= n;
   }
   return head;
 }
 
+MbufPtr Mbuf::Allocate(std::size_t len, std::size_t headroom) {
+  PLEXUS_PROFILE_SCOPE(kMbufAlloc);
+  PLEXUS_PROFILE_BYTES(kMbufAllocBytes, len);
+  return NewChain(len, headroom, /*zero_payload=*/true, nullptr);
+}
+
+MbufPtr Mbuf::AllocateUninit(std::size_t len, std::size_t headroom) {
+  PLEXUS_PROFILE_SCOPE(kMbufAlloc);
+  PLEXUS_PROFILE_BYTES(kMbufAllocBytes, len);
+  return NewChain(len, headroom, /*zero_payload=*/false, nullptr);
+}
+
 MbufPtr Mbuf::FromBytes(std::span<const std::byte> bytes, std::size_t headroom) {
-  MbufPtr m = Allocate(bytes.size(), headroom);
+  MbufPtr m = AllocateUninit(bytes.size(), headroom);
   m->CopyIn(0, bytes);
   return m;
 }

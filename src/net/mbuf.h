@@ -16,10 +16,17 @@
 // "mbuf.seg.*"); a chain only appears for payloads beyond kClusterSize.
 // Storage refcounts are plain integers — the simulator is single-threaded —
 // so ShareClone per protocol hop is a slab pointer-pop and an increment,
-// where it used to be an operator new plus two atomic RMWs. Only
-// headroom+payload bytes are zeroed on allocation (tailroom is written
-// before it ever becomes live), and pool accounting rides an intrusively
-// refcounted MbufPoolControl instead of a shared_ptr'd deleter closure.
+// where it used to be an operator new plus two atomic RMWs. Pool accounting
+// rides an intrusively refcounted MbufPoolControl instead of a shared_ptr'd
+// deleter closure.
+//
+// Allocation zeroes only what no caller writes: headroom always (Prepend
+// exposes it), payload only for Allocate (whose callers may leave bytes
+// unwritten, e.g. Ethernet padding). AllocateUninit, FromBytes and the
+// pool's TryAllocateUninit/TryFromBytes/TryCopy hand out payload bytes the
+// caller overwrites in full, so zero-filling them first would be a wasted
+// pass. Tailroom is never zeroed: every operation that grows the live
+// range writes the bytes first.
 #ifndef PLEXUS_NET_MBUF_H_
 #define PLEXUS_NET_MBUF_H_
 
@@ -87,6 +94,10 @@ class Mbuf {
   // Allocates a chain holding `len` bytes of zeroed payload, with headroom
   // in the first segment.
   static MbufPtr Allocate(std::size_t len, std::size_t headroom = kDefaultHeadroom);
+  // As Allocate, but the payload bytes are unspecified (stale bytes of an
+  // earlier packet): the caller must write every one before anything reads
+  // the chain. Headroom is still zeroed.
+  static MbufPtr AllocateUninit(std::size_t len, std::size_t headroom = kDefaultHeadroom);
 
   // Allocates a chain holding a copy of `bytes`.
   static MbufPtr FromBytes(std::span<const std::byte> bytes,
@@ -217,8 +228,7 @@ class Mbuf {
   };
 
   // Allocates a block with `capacity` payload bytes, zeroing [0, zero_upto)
-  // (headroom + payload on the allocation paths; tailroom stays raw — every
-  // operation that grows the live range writes the bytes first). `pool` !=
+  // (see the allocation contract at the top of this file). `pool` !=
   // nullptr ties the block to pool accounting (one Ref; one in_use credit
   // released with the block).
   static Storage* NewStorage(std::size_t capacity, std::size_t zero_upto,
@@ -235,7 +245,11 @@ class Mbuf {
   // Shares the storage of `other` (bumps the refcount).
   static MbufPtr CloneSegment(const Mbuf& other);
 
-  static MbufPtr NewSegment(std::size_t capacity, std::size_t offset, std::size_t length);
+  // Builds the chain shape every allocation uses: headroom plus up to one
+  // cluster in the head segment, one cluster per further segment. Payload
+  // bytes are zeroed only if `zero_payload`; headroom always is.
+  static MbufPtr NewChain(std::size_t len, std::size_t headroom, bool zero_payload,
+                          MbufPoolControl* pool);
 
   // Replaces shared storage with a private copy of the live bytes.
   void EnsureUnique();

@@ -56,40 +56,32 @@ bool MbufPool::Reserve(std::size_t segments) {
   return true;
 }
 
-MbufPtr MbufPool::MakeSegment(std::size_t capacity, std::size_t offset, std::size_t length) {
-  // The storage block keeps a reference to ctl_ and credits the pool when
-  // the LAST reference to it dies (Mbuf::ReleaseStorage) — clones and
-  // splits share storage, so they never double-charge.
-  return MbufPtr(
-      new Mbuf(Mbuf::NewStorage(capacity, offset + length, ctl_), offset, length));
-}
-
-MbufPtr MbufPool::TryAllocate(std::size_t len, std::size_t headroom) {
+MbufPtr MbufPool::Allocate(std::size_t len, std::size_t headroom, bool zero_payload) {
   PLEXUS_PROFILE_SCOPE(kMbufAlloc);
   PLEXUS_PROFILE_BYTES(kMbufAllocBytes, len);
   if (!Reserve(SegmentsFor(len))) return nullptr;
-  const std::size_t first_payload = std::min(len, Mbuf::kClusterSize);
-  MbufPtr head = MakeSegment(headroom + std::max<std::size_t>(first_payload, 1), headroom,
-                             first_payload);
-  std::size_t remaining = len - first_payload;
-  Mbuf* tail = head.get();
-  while (remaining > 0) {
-    const std::size_t n = std::min(remaining, Mbuf::kClusterSize);
-    tail->next_ = MakeSegment(n, 0, n);
-    tail = tail->next_.get();
-    remaining -= n;
-  }
-  return head;
+  // Each storage block keeps a reference to ctl_ and credits the pool when
+  // the LAST reference to it dies (Mbuf::ReleaseStorage) — clones and
+  // splits share storage, so they never double-charge.
+  return Mbuf::NewChain(len, headroom, zero_payload, ctl_);
+}
+
+MbufPtr MbufPool::TryAllocate(std::size_t len, std::size_t headroom) {
+  return Allocate(len, headroom, /*zero_payload=*/true);
+}
+
+MbufPtr MbufPool::TryAllocateUninit(std::size_t len, std::size_t headroom) {
+  return Allocate(len, headroom, /*zero_payload=*/false);
 }
 
 MbufPtr MbufPool::TryFromBytes(std::span<const std::byte> bytes, std::size_t headroom) {
-  MbufPtr m = TryAllocate(bytes.size(), headroom);
+  MbufPtr m = TryAllocateUninit(bytes.size(), headroom);
   if (m != nullptr) m->CopyIn(0, bytes);
   return m;
 }
 
 MbufPtr MbufPool::TryCopy(const Mbuf& chain, std::size_t headroom) {
-  MbufPtr out = TryAllocate(chain.PacketLength(), headroom);
+  MbufPtr out = TryAllocateUninit(chain.PacketLength(), headroom);
   if (out == nullptr) return nullptr;
   std::size_t off = 0;
   chain.ForEachSegment([&](std::span<const std::byte> s) {
@@ -116,6 +108,11 @@ std::size_t MbufPool::DefaultCapacity() {
 MbufPtr PoolAllocate(MbufPool* pool, std::size_t len, std::size_t headroom) {
   if (pool == nullptr) return Mbuf::Allocate(len, headroom);
   return pool->TryAllocate(len, headroom);
+}
+
+MbufPtr PoolAllocateUninit(MbufPool* pool, std::size_t len, std::size_t headroom) {
+  if (pool == nullptr) return Mbuf::AllocateUninit(len, headroom);
+  return pool->TryAllocateUninit(len, headroom);
 }
 
 MbufPtr PoolFromBytes(MbufPool* pool, std::span<const std::byte> bytes, std::size_t headroom) {

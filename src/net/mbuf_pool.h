@@ -48,10 +48,11 @@ class MbufPool {
   MbufPool(const MbufPool&) = delete;
   MbufPool& operator=(const MbufPool&) = delete;
 
-  // Pool-backed equivalents of Mbuf::Allocate / FromBytes / DeepCopy.
-  // Return nullptr when the chain's segments would exceed capacity; the
-  // caller owns the explicit exhaustion path (drop + count).
+  // Pool-backed equivalents of Mbuf::Allocate / AllocateUninit / FromBytes
+  // / DeepCopy. Return nullptr when the chain's segments would exceed
+  // capacity; the caller owns the explicit exhaustion path (drop + count).
   MbufPtr TryAllocate(std::size_t len, std::size_t headroom = Mbuf::kDefaultHeadroom);
+  MbufPtr TryAllocateUninit(std::size_t len, std::size_t headroom = Mbuf::kDefaultHeadroom);
   MbufPtr TryFromBytes(std::span<const std::byte> bytes,
                        std::size_t headroom = Mbuf::kDefaultHeadroom);
   // Deep copy of `chain` into pooled storage, packet header included (the
@@ -78,7 +79,7 @@ class MbufPool {
 
  private:
   bool Reserve(std::size_t segments);
-  MbufPtr MakeSegment(std::size_t capacity, std::size_t offset, std::size_t length);
+  MbufPtr Allocate(std::size_t len, std::size_t headroom, bool zero_payload);
   static std::size_t SegmentsFor(std::size_t len);
 
   // Shared (intrusively refcounted) between the pool and every outstanding
@@ -93,6 +94,8 @@ class MbufPool {
 // handled by dropping.
 MbufPtr PoolAllocate(MbufPool* pool, std::size_t len,
                      std::size_t headroom = Mbuf::kDefaultHeadroom);
+MbufPtr PoolAllocateUninit(MbufPool* pool, std::size_t len,
+                           std::size_t headroom = Mbuf::kDefaultHeadroom);
 MbufPtr PoolFromBytes(MbufPool* pool, std::span<const std::byte> bytes,
                       std::size_t headroom = Mbuf::kDefaultHeadroom);
 

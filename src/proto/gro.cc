@@ -6,6 +6,22 @@
 
 namespace proto {
 
+namespace {
+
+// The 1s-complement sum a segment's payload must have for the segment to
+// verify, read off its own checksum field: the field makes pseudo-header +
+// header + payload sum to zero, so the payload's share is the negation of
+// the other two. 32 bytes of work whatever the payload size.
+std::uint16_t VouchedPayloadSum(const net::TcpHeader& hdr, net::Ipv4Address src,
+                                net::Ipv4Address dst, std::size_t segment_len) {
+  net::InternetChecksum sum;
+  AddPseudoHeader(sum, src, dst, net::ipproto::kTcp, segment_len);
+  sum.Add({reinterpret_cast<const std::byte*>(&hdr), sizeof(hdr)});
+  return sum.Finish();
+}
+
+}  // namespace
+
 GroEngine::GroEngine(sim::Host& host, Sink sink, Config config)
     : host_(host), sink_(std::move(sink)), config_(config) {}
 
@@ -66,12 +82,21 @@ void GroEngine::Push(net::MbufPtr segment, net::Ipv4Address src,
     return;
   }
 
+  const std::uint16_t vouched = VouchedPayloadSum(hdr, src, dst, total);
   if (held_ != nullptr && Extends(hdr, src, dst)) {
     // Fold: strip the repeated header, append the payload bytes to the
     // held chain. One gro_merge instead of a full per-segment input pass.
     if (host_.in_task()) host_.Charge(host_.costs().gro_merge);
     segment->TrimFront(header_len);
     held_->AppendChain(std::move(segment));
+    // A payload that starts at an odd offset of the merged payload has
+    // every byte in the other half of its 16-bit word, so its sum enters
+    // byte-swapped (RFC 1071 §2(B)).
+    std::uint16_t sum = vouched;
+    if ((held_next_seq_ - held_hdr_.seq.value()) & 1) {
+      sum = static_cast<std::uint16_t>((sum << 8) | (sum >> 8));
+    }
+    held_payload_sum_.AddU16(sum);
     held_next_seq_ += static_cast<std::uint32_t>(payload_len);
     ++held_count_;
     ++stats_.merged;
@@ -79,17 +104,19 @@ void GroEngine::Push(net::MbufPtr segment, net::Ipv4Address src,
   }
 
   if (held_ != nullptr) Flush(/*from_timer=*/false);
-  StartChain(std::move(segment), hdr, src, dst, payload_len);
+  StartChain(std::move(segment), hdr, src, dst, payload_len, vouched);
 }
 
 void GroEngine::StartChain(net::MbufPtr segment, const net::TcpHeader& hdr,
                            net::Ipv4Address src, net::Ipv4Address dst,
-                           std::size_t payload_len) {
+                           std::size_t payload_len, std::uint16_t vouched) {
   held_ = std::move(segment);
   held_hdr_ = hdr;
   held_src_ = src;
   held_dst_ = dst;
   held_next_seq_ = hdr.seq.value() + static_cast<std::uint32_t>(payload_len);
+  held_payload_sum_ = net::InternetChecksum();
+  held_payload_sum_.AddU16(vouched);  // offset 0: no swap
   held_count_ = 1;
   ArmTimer();
 }
@@ -104,15 +131,19 @@ void GroEngine::Flush(bool from_timer) {
   const std::size_t count = held_count_;
   held_count_ = 0;
   if (count > 1) {
-    // The first segment's checksum no longer covers the grown payload:
-    // recompute so checksum-verifying consumers accept the merged segment.
-    // (Wall-clock only — the simulated cost of checksumming these bytes
-    // was already charged when each wire frame was received.)
+    // The first segment's checksum no longer covers the grown payload.
+    // Derive the merged one from the constituents' vouched payload sums
+    // instead of re-scanning the chain: a valid chain gets exactly the
+    // checksum a rescan would, and a constituent whose bytes disagree with
+    // its own checksum leaves the merged segment failing tcp_input's
+    // verification, as it would have failed alone.
     net::TcpHeader hdr = held_hdr_;
     hdr.checksum = 0;
-    net::StorePacket(*chain, hdr);
-    hdr.checksum =
-        TransportChecksum(held_src_, held_dst_, net::ipproto::kTcp, *chain);
+    net::InternetChecksum sum = held_payload_sum_;
+    AddPseudoHeader(sum, held_src_, held_dst_, net::ipproto::kTcp,
+                    sizeof(hdr) + (held_next_seq_ - hdr.seq.value()));
+    sum.Add({reinterpret_cast<const std::byte*>(&hdr), sizeof(hdr)});
+    hdr.checksum = sum.Finish();
     net::StorePacket(*chain, hdr);
   }
   ++stats_.flushes;

@@ -26,8 +26,18 @@
 // normal path: the engine's owner flushes after every RaiseBatch), a
 // non-mergeable segment, or the flush timer armed when the chain starts
 // (so a chain can never be parked past Config::flush_timeout even if no
-// further traffic arrives). The merged chain's TCP checksum is recomputed
-// before delivery, so checksum-verifying consumers see a valid segment.
+// further traffic arrives).
+//
+// The merged chain's TCP checksum is derived, not re-scanned: each
+// constituent's own checksum field vouches for the 1s-complement sum of its
+// payload (pseudo-header + header + payload sum to zero), so the merged
+// field is the pseudo-header and first header of the merged segment plus
+// the vouched sums, each byte-swapped when it lands at an odd offset — 32
+// bytes of work per constituent. A valid chain gets bit for bit the field a
+// rescan would give; a constituent whose bytes disagree with its own
+// checksum makes the merged segment fail tcp_input's verification, exactly
+// as it would have failed alone, so GRO never launders a corrupted frame.
+// The receive side therefore checksums each byte once, in tcp_input.
 //
 // The engine holds at most one flow's chain; destruction releases a held
 // chain without delivering it (crash semantics — the owner tears the
@@ -40,6 +50,7 @@
 #include <utility>
 
 #include "net/address.h"
+#include "net/checksum.h"
 #include "net/headers.h"
 #include "net/mbuf.h"
 #include "sim/host.h"
@@ -93,7 +104,7 @@ class GroEngine {
                net::Ipv4Address dst) const;
   void StartChain(net::MbufPtr segment, const net::TcpHeader& hdr,
                   net::Ipv4Address src, net::Ipv4Address dst,
-                  std::size_t payload_len);
+                  std::size_t payload_len, std::uint16_t vouched);
   void Flush(bool from_timer);
   void ArmTimer();
   void DisarmTimer();
@@ -108,6 +119,10 @@ class GroEngine {
   net::Ipv4Address held_src_;
   net::Ipv4Address held_dst_;
   std::uint32_t held_next_seq_ = 0;  // seq the next in-order segment must carry
+  // Sum of every constituent's vouched payload sum, each byte-swapped when
+  // it starts at an odd offset of the merged payload; Flush derives the
+  // merged checksum from it.
+  net::InternetChecksum held_payload_sum_;
   std::size_t held_count_ = 0;       // wire segments in the chain
   sim::EventId timer_ = sim::kInvalidEventId;
   std::uint64_t timer_gen_ = 0;  // invalidates in-flight timer tasks

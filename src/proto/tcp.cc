@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <memory>
 
 #include "net/mbuf_pool.h"
 #include "net/view.h"
@@ -303,14 +304,15 @@ void TcpConnection::Consume(std::size_t n) {
 
 // --- segment emission ---------------------------------------------------------
 
-void TcpConnection::EmitSegment(std::uint8_t flags, Seq seq, std::span<const std::byte> payload,
-                                bool with_mss_option, bool charge_costs) {
+void TcpConnection::EmitSegment(std::uint8_t flags, Seq seq, std::size_t buf_offset,
+                                std::size_t len, bool with_mss_option, bool charge_costs) {
   const std::size_t hdr_len = sizeof(net::TcpHeader) + (with_mss_option ? kMssOptionLen : 0);
 
   // Pool dry: skip the emission entirely. TCP's own machinery recovers —
   // data retransmits on the rexmt timer, ACKs regenerate on the next
-  // segment or delack tick.
-  auto m = net::PoolAllocate(host_.mbuf_pool(), hdr_len + payload.size());
+  // segment or delack tick. Every byte is written below, so the payload
+  // is not zero-filled first.
+  auto m = net::PoolAllocateUninit(host_.mbuf_pool(), hdr_len + len);
   if (m == nullptr) return;
   net::TcpHeader hdr;
   hdr.src_port = endpoints_.local_port;
@@ -328,7 +330,17 @@ void TcpConnection::EmitSegment(std::uint8_t flags, Seq seq, std::span<const std
         static_cast<std::byte>(config_.mss >> 8), static_cast<std::byte>(config_.mss & 0xff)};
     m->CopyIn(sizeof(net::TcpHeader), opt);
   }
-  if (!payload.empty()) m->CopyIn(hdr_len, payload);
+  // The payload goes straight from the send buffer into the segment. The
+  // head segment holds the header and at least one payload byte.
+  auto src = send_buf_.begin() + static_cast<std::ptrdiff_t>(buf_offset);
+  std::size_t skip = hdr_len;
+  for (net::Mbuf* seg = m.get(); len > 0; seg = seg->next(), skip = 0) {
+    const std::span<std::byte> dst = seg->mutable_data().subspan(skip);
+    const auto n = static_cast<std::ptrdiff_t>(std::min(dst.size(), len));
+    std::copy(src, src + n, dst.data());
+    src += n;
+    len -= static_cast<std::size_t>(n);
+  }
 
   sim::TraceSpan span(host_, "tcp.output", "tcp", m->pkthdr().trace_id);
   if (charge_costs) {
@@ -350,15 +362,12 @@ void TcpConnection::EmitSegment(std::uint8_t flags, Seq seq, std::span<const std
 }
 
 void TcpConnection::SendControl(std::uint8_t flags, Seq seq, bool with_mss_option) {
-  EmitSegment(flags, seq, {}, with_mss_option);
+  EmitSegment(flags, seq, 0, 0, with_mss_option);
 }
 
 void TcpConnection::SendDataSegment(Seq seq, std::size_t len, bool rtt_candidate) {
   const std::size_t offset = SeqDiff(snd_una_, seq);
   assert(offset + len <= send_buf_.size());
-  std::vector<std::byte> payload(len);
-  std::copy(send_buf_.begin() + static_cast<std::ptrdiff_t>(offset),
-            send_buf_.begin() + static_cast<std::ptrdiff_t>(offset + len), payload.begin());
   if (rtt_candidate && !rtt_timing_) StartRttTiming(seq);
   stats_.bytes_sent += len;
   if (len > effective_mss_ && effective_mss_ > 0) {
@@ -381,8 +390,7 @@ void TcpConnection::SendDataSegment(Seq seq, std::size_t len, bool rtt_candidate
       std::uint8_t flags = net::tcpflag::kAck;
       if (offset + off + chunk == send_buf_.size()) flags |= net::tcpflag::kPsh;
       host_.Charge(host_.costs().gso_split);
-      EmitSegment(flags, seq + static_cast<std::uint32_t>(off),
-                  std::span<const std::byte>(payload).subspan(off, chunk),
+      EmitSegment(flags, seq + static_cast<std::uint32_t>(off), offset + off, chunk,
                   /*with_mss_option=*/false, /*charge_costs=*/false);
       off += chunk;
     }
@@ -390,7 +398,7 @@ void TcpConnection::SendDataSegment(Seq seq, std::size_t len, bool rtt_candidate
   }
   std::uint8_t flags = net::tcpflag::kAck;
   if (offset + len == send_buf_.size()) flags |= net::tcpflag::kPsh;
-  EmitSegment(flags, seq, payload, /*with_mss_option=*/false);
+  EmitSegment(flags, seq, offset, len, /*with_mss_option=*/false);
 }
 
 void TcpConnection::SendAckNow() {
@@ -422,7 +430,7 @@ void TcpConnection::SendRst(Seq seq, Seq ack, bool with_ack) {
     flags |= net::tcpflag::kAck;
     rcv_nxt_ = ack;  // so EmitSegment fills the right ack field
   }
-  EmitSegment(flags, use_seq, {}, /*with_mss_option=*/false);
+  EmitSegment(flags, use_seq, 0, 0, /*with_mss_option=*/false);
 }
 
 // --- output engine -------------------------------------------------------------
@@ -832,13 +840,19 @@ void TcpConnection::ProcessAck(const net::TcpHeader& hdr) {
 
 void TcpConnection::ProcessData(net::MbufPtr segment, const net::TcpHeader& hdr,
                                 std::size_t payload_len) {
-  if (state_ == State::kFinWait2 || state_ == State::kTimeWait) {
-    // Still deliverable in FIN_WAIT states (we closed, peer may send).
-  }
   Seq seq = hdr.seq.value();
   segment->TrimFront(hdr.header_length());
-  std::vector<std::byte> bytes(payload_len);
-  segment->CopyOut(0, bytes);
+  // One contiguous span per segment (a socket charges per on_data call):
+  // the payload in place when it sits in one mbuf segment, else one copy
+  // into a buffer that is written in full, so never zero-filled. Either
+  // lives exactly as long as this call.
+  std::unique_ptr<std::byte[]> flat;
+  std::span<const std::byte> bytes = segment->data();
+  if (bytes.size() != payload_len) {
+    flat = std::make_unique_for_overwrite<std::byte[]>(payload_len);
+    bytes = {flat.get(), payload_len};
+    segment->CopyOut(0, {flat.get(), payload_len});
+  }
 
   // Trim any portion before rcv_nxt.
   if (SeqLt(seq, rcv_nxt_)) {
@@ -847,7 +861,7 @@ void TcpConnection::ProcessData(net::MbufPtr segment, const net::TcpHeader& hdr,
       SendAckNow();
       return;
     }
-    bytes.erase(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(skip));
+    bytes = bytes.subspan(skip);
     seq = rcv_nxt_;
   }
 
@@ -856,7 +870,7 @@ void TcpConnection::ProcessData(net::MbufPtr segment, const net::TcpHeader& hdr,
     // will retransmit once the window reopens).
     const std::size_t wnd = advertised_window();
     if (bytes.size() > wnd) {
-      bytes.resize(wnd);
+      bytes = bytes.first(wnd);
       if (bytes.empty()) {
         SendAckNow();
         return;
@@ -881,7 +895,7 @@ void TcpConnection::ProcessData(net::MbufPtr segment, const net::TcpHeader& hdr,
     ++stats_.out_of_order_segments;
     auto it = ooo_.find(seq);
     if (it == ooo_.end() || it->second.size() < bytes.size()) {
-      ooo_[seq] = std::move(bytes);
+      ooo_[seq].assign(bytes.begin(), bytes.end());
     }
     SendAckNow();
   }

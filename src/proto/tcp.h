@@ -234,10 +234,11 @@ class TcpConnection {
   // through this (they stay unlimited — retransmission recovery must never
   // be throttled).
   void SendChallengeAck();
-  // charge_costs=false suppresses the tcp_output/checksum charges (the GSO
-  // split path pays them once for the whole jumbo); the frame's real
-  // checksum is still computed either way.
-  void EmitSegment(std::uint8_t flags, Seq seq, std::span<const std::byte> payload,
+  // Emits one segment carrying send_buf_[buf_offset, buf_offset + len)
+  // (len 0: a control segment). charge_costs=false suppresses the
+  // tcp_output/checksum charges (the GSO split path pays them once for the
+  // whole jumbo); the frame's real checksum is still computed either way.
+  void EmitSegment(std::uint8_t flags, Seq seq, std::size_t buf_offset, std::size_t len,
                    bool with_mss_option, bool charge_costs = true);
   void SendRst(Seq seq, Seq ack, bool with_ack);
 

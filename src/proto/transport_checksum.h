@@ -2,6 +2,7 @@
 #ifndef PLEXUS_PROTO_TRANSPORT_CHECKSUM_H_
 #define PLEXUS_PROTO_TRANSPORT_CHECKSUM_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "net/address.h"
@@ -10,13 +11,10 @@
 
 namespace proto {
 
-// Computes the Internet checksum of {pseudo-header, segment}, where
-// `segment` is the full transport packet (header + payload). The transport
-// header's checksum field must be zero when computing, or left in place when
-// verifying (result 0 means valid).
-inline std::uint16_t TransportChecksum(net::Ipv4Address src, net::Ipv4Address dst,
-                                       std::uint8_t protocol, const net::Mbuf& segment) {
-  net::InternetChecksum sum;
+// Folds the IPv4 pseudo-header of a `length`-byte transport packet into `sum`.
+inline void AddPseudoHeader(net::InternetChecksum& sum, net::Ipv4Address src,
+                            net::Ipv4Address dst, std::uint8_t protocol,
+                            std::size_t length) {
   const std::byte pseudo[12] = {
       static_cast<std::byte>(src.bytes()[0]), static_cast<std::byte>(src.bytes()[1]),
       static_cast<std::byte>(src.bytes()[2]), static_cast<std::byte>(src.bytes()[3]),
@@ -24,10 +22,20 @@ inline std::uint16_t TransportChecksum(net::Ipv4Address src, net::Ipv4Address ds
       static_cast<std::byte>(dst.bytes()[2]), static_cast<std::byte>(dst.bytes()[3]),
       std::byte{0},
       static_cast<std::byte>(protocol),
-      static_cast<std::byte>(segment.PacketLength() >> 8),
-      static_cast<std::byte>(segment.PacketLength() & 0xff),
+      static_cast<std::byte>(length >> 8),
+      static_cast<std::byte>(length & 0xff),
   };
   sum.Add({pseudo, sizeof(pseudo)});
+}
+
+// Computes the Internet checksum of {pseudo-header, segment}, where
+// `segment` is the full transport packet (header + payload). The transport
+// header's checksum field must be zero when computing, or left in place when
+// verifying (result 0 means valid).
+inline std::uint16_t TransportChecksum(net::Ipv4Address src, net::Ipv4Address dst,
+                                       std::uint8_t protocol, const net::Mbuf& segment) {
+  net::InternetChecksum sum;
+  AddPseudoHeader(sum, src, dst, protocol, segment.PacketLength());
   segment.ForEachSegment([&sum](std::span<const std::byte> s) { sum.Add(s); });
   return sum.Finish();
 }

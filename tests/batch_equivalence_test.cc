@@ -15,14 +15,15 @@
 //
 // Part B (stack): seeded single-connection TCP transfers through two full
 // PlexusHosts over a faulty wire (loss, duplication, reordering,
-// truncation), once with PLEXUS_BATCH off and once per batched variant
-// (GRO on / GRO off, interrupt and thread handler modes). Whatever the
-// fault schedule does to the wire, the server-side byte stream must be
-// exactly the payload in every mode, nothing may be quarantined, and after
-// the drain every mbuf — including in-flight burst containers and parked
-// GRO chains — must be back on its slab. Off-mode runs are additionally
-// re-run and must be bit-deterministic (same virtual end time, same raise
-// totals): the gate's identity guarantee rests on that determinism.
+// truncation, one-byte corruption), once with PLEXUS_BATCH off and once
+// per batched variant (GRO on / GRO off, interrupt and thread handler
+// modes). Whatever the fault schedule does to the wire, the server-side
+// byte stream must be exactly the payload in every mode, nothing may be
+// quarantined, and after the drain every mbuf — including in-flight burst
+// containers and parked GRO chains — must be back on its slab. Off-mode
+// runs are additionally re-run and must be bit-deterministic (same virtual
+// end time, same raise totals): the gate's identity guarantee rests on
+// that determinism.
 //
 // Default 1000 seeds; PLEXUS_BATCH_SEEDS overrides for quick local runs.
 #include <gtest/gtest.h>
@@ -272,6 +273,9 @@ drivers::Faults FaultsFor(std::uint64_t seed) {
   f.duplicate_probability = prob(0.02);
   f.reorder_probability = prob(0.03);
   f.truncate_probability = prob(0.01);
+  // One-byte corruption: every mode must catch it by checksum, including a
+  // corrupted frame that GRO merges into a chain.
+  f.corrupt_probability = prob(0.01);
   return f;
 }
 

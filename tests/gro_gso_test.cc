@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/headers.h"
@@ -245,6 +246,46 @@ TEST(Gro, SingleSegmentFlushIsUntouched) {
   f.gro.FlushAll();
   ASSERT_EQ(f.out.size(), 1u);
   EXPECT_EQ(f.out[0].seg->Linearize(), before);  // checksum not rewritten
+}
+
+// The merged checksum is derived from the constituents' own checksum
+// fields, never by re-scanning the chain. Odd-length payloads put later
+// constituents at odd offsets, where their sums enter byte-swapped.
+TEST(Gro, DerivedChecksumMatchesAFullRescanWithOddLengths) {
+  GroFixture f;
+  f.gro.Push(MakeSeg(100, "aaa"), kSrc, kDst);
+  f.gro.Push(MakeSeg(103, "bbbbb"), kSrc, kDst);
+  f.gro.Push(MakeSeg(108, "c"), kSrc, kDst);
+  f.gro.Push(MakeSeg(109, "\xff\x01\xfe"), kSrc, kDst);
+  f.gro.FlushAll();
+  ASSERT_EQ(f.out.size(), 1u);
+  EXPECT_EQ(f.gro.stats().merged, 3u);
+  EXPECT_EQ(f.PayloadOf(0), "aaabbbbbc\xff\x01\xfe");
+  EXPECT_TRUE(ChecksumValid(*f.out[0].seg));  // the rescan's field, bit for bit
+}
+
+// A constituent whose bytes disagree with its own checksum must poison the
+// merged segment, not be laundered into a valid one — wherever it sits in
+// the chain and whatever its offset parity.
+TEST(Gro, CorruptedConstituentFailsVerificationAfterMerge) {
+  for (std::size_t bad = 0; bad < 3; ++bad) {
+    SCOPED_TRACE("corrupted constituent " + std::to_string(bad));
+    GroFixture f;
+    const std::pair<std::uint32_t, std::string_view> segs[] = {
+        {100, "aaa"}, {103, "bbbbb"}, {108, "cccc"}};
+    for (std::size_t i = 0; i < 3; ++i) {
+      auto seg = MakeSeg(segs[i].first, segs[i].second);
+      if (i == bad) {
+        const std::byte flipped{0x5a};
+        seg->CopyIn(sizeof(net::TcpHeader) + 1, {&flipped, 1});
+      }
+      f.gro.Push(std::move(seg), kSrc, kDst);
+    }
+    f.gro.FlushAll();
+    ASSERT_EQ(f.out.size(), 1u);
+    EXPECT_EQ(f.gro.stats().merged, 2u);
+    EXPECT_NE(TransportChecksum(kSrc, kDst, net::ipproto::kTcp, *f.out[0].seg), 0);
+  }
 }
 
 // --- GSO: split at the emission edge -------------------------------------------

@@ -1,13 +1,22 @@
 // Unit + property tests for the mbuf chain implementation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "drivers/device_profile.h"
+#include "drivers/nic.h"
 #include "net/mbuf.h"
+#include "net/mbuf_pool.h"
+#include "proto/tcp.h"
+#include "sim/cost_model.h"
+#include "sim/host.h"
 #include "sim/random.h"
+#include "sim/simulator.h"
+#include "sim/slab.h"
 
 namespace net {
 namespace {
@@ -299,6 +308,123 @@ TEST_P(MbufModelTest, AgreesWithShadowModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomOps, MbufModelTest, ::testing::Range(0, 16));
+
+// --- Stale bytes: the allocations that skip the zero-fill ----------------------
+//
+// FromBytes, the pool's TryFromBytes/TryCopy (the NIC rx refill) and TCP
+// segment emission write every payload byte instead of zero-filling it
+// first. Each test frees a poisoned block of the size class its allocation
+// will use — slab LIFO reuse hands that very block back — and checks that
+// no stale byte survives in the headroom or the live bytes. A missed write
+// would otherwise leak an earlier packet's bytes onto the wire.
+
+constexpr std::byte kPoison{0xee};
+
+// Data that never contains kPoison.
+std::vector<std::byte> CleanPattern(std::size_t n) {
+  std::vector<std::byte> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<std::byte>(i % 0xe0);
+  return out;
+}
+
+// Allocates a `len`-byte packet with default headroom, poisons its headroom
+// and payload, and frees it. Returns where its payload began: the next
+// allocation of the same shape starts there when the slabs are on.
+const std::byte* FreePoisonedBlock(std::size_t len) {
+  MbufPtr m = Mbuf::Allocate(len);
+  const std::byte* payload = m->data().data();
+  m->Prepend(m->headroom());
+  for (Mbuf* s = m.get(); s != nullptr; s = s->next()) {
+    const auto d = s->mutable_data();
+    std::fill(d.begin(), d.end(), kPoison);
+  }
+  return payload;
+}
+
+void ExpectFreshBytes(const Mbuf& m, std::span<const std::byte> expected,
+                      const std::byte* reused) {
+  // The headroom sits just before the live bytes in the same storage block.
+  const std::span<const std::byte> headroom(m.data().data() - m.headroom(), m.headroom());
+  EXPECT_TRUE(std::all_of(headroom.begin(), headroom.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+  // The live bytes end with `expected` (a TCP segment leads with its header).
+  const auto live = m.Linearize();
+  ASSERT_GE(live.size(), expected.size());
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), live.end() - expected.size()));
+  // Not vacuous: the poisoned block really came back.
+  if (sim::SlabConfig::enabled()) {
+    EXPECT_EQ(m.data().data(), reused);
+  }
+}
+
+TEST(StaleBytes, FromBytesOverwritesAReusedBlock) {
+  for (const std::size_t len : {std::size_t{700}, std::size_t{9000}}) {
+    SCOPED_TRACE("len " + std::to_string(len));
+    const auto data = CleanPattern(len);
+    const std::byte* reused = FreePoisonedBlock(len);
+    MbufPtr m = Mbuf::FromBytes(data);
+    // A multi-cluster chain reuses its blocks in LIFO order, so only the
+    // single-segment case pins which block the head gets.
+    ExpectFreshBytes(*m, data, m->next() == nullptr ? reused : m->data().data());
+  }
+}
+
+TEST(StaleBytes, PoolCopiesOverwriteAReusedBlock) {
+  MbufPool pool(64);
+  const auto data = CleanPattern(1500);
+  const std::byte* reused = FreePoisonedBlock(data.size());
+  MbufPtr from = pool.TryFromBytes(data);
+  ASSERT_NE(from, nullptr);
+  ExpectFreshBytes(*from, data, reused);
+
+  reused = FreePoisonedBlock(data.size());
+  MbufPtr copy = pool.TryCopy(*from);
+  ASSERT_NE(copy, nullptr);
+  ExpectFreshBytes(*copy, data, reused);
+}
+
+TEST(StaleBytes, NicRxRefillOverwritesAReusedBlock) {
+  sim::Simulator sim;
+  sim::Host host(sim, "rx", sim::CostModel::Default1996(), 1);
+  MbufPool pool(64);
+  host.set_mbuf_pool(&pool);
+  {
+    drivers::Nic nic(host, drivers::DeviceProfile::Ethernet10(), MacAddress::FromId(2));
+    MbufPtr delivered;
+    nic.SetReceiveCallback([&](MbufPtr m) { delivered = std::move(m); });
+    const auto frame = CleanPattern(1000);
+    MbufPtr wire = Mbuf::FromBytes(frame);
+    const std::byte* reused = FreePoisonedBlock(frame.size());
+    nic.DeliverFromWire(std::move(wire), /*check_address=*/false);
+    sim.RunFor(sim::Duration::Millis(10));
+    ASSERT_NE(delivered, nullptr);
+    ExpectFreshBytes(*delivered, frame, reused);
+  }
+  host.set_mbuf_pool(nullptr);
+}
+
+TEST(StaleBytes, TcpDataSegmentOverwritesAReusedBlock) {
+  sim::Simulator sim;
+  sim::Host host(sim, "tx", sim::CostModel::Default1996(), 1);
+  MbufPtr emitted;
+  proto::TcpConnection::Callbacks cbs;
+  cbs.send_segment = [&](MbufPtr m, Ipv4Address, Ipv4Address) { emitted = std::move(m); };
+  proto::TcpConnection conn(host, proto::TcpConfig{},
+                            {Ipv4Address(10, 0, 0, 1), 1000, Ipv4Address(10, 0, 0, 2), 80},
+                            std::move(cbs));
+  const auto payload = CleanPattern(1000);
+  const std::byte* reused = nullptr;
+  host.Submit(sim::Priority::kKernel, [&] {
+    conn.Listen();
+    conn.CompleteFromSynCookie(/*iss=*/5000, /*irs=*/9000, /*snd_wnd=*/65535, /*peer_mss=*/0);
+    reused = FreePoisonedBlock(sizeof(TcpHeader) + payload.size());
+    EXPECT_EQ(conn.Send(payload), payload.size());
+  });
+  sim.RunFor(sim::Duration::Millis(1));
+  ASSERT_NE(emitted, nullptr);
+  EXPECT_EQ(emitted->PacketLength(), sizeof(TcpHeader) + payload.size());
+  ExpectFreshBytes(*emitted, payload, reused);
+}
 
 }  // namespace
 }  // namespace net

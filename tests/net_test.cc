@@ -1,8 +1,11 @@
 // Unit tests for byte order, checksum, addresses, headers, and View.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <random>
+#include <span>
 #include <vector>
 
 #include "net/address.h"
@@ -107,6 +110,58 @@ TEST_P(ChecksumPropertyTest, SplitInvariance) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Splits, ChecksumPropertyTest, ::testing::Range(0, 24));
+
+// The RFC 1071 definition, one big-endian byte pair at a time: the oracle
+// the wide kernel must match bit for bit.
+std::uint16_t BytePairChecksum(std::span<const std::byte> bytes) {
+  std::uint64_t sum = 0;
+  std::size_t i = 0;
+  for (; i + 1 < bytes.size(); i += 2) {
+    sum += (std::to_integer<std::uint64_t>(bytes[i]) << 8) |
+           std::to_integer<std::uint64_t>(bytes[i + 1]);
+  }
+  if (i < bytes.size()) sum += std::to_integer<std::uint64_t>(bytes[i]) << 8;
+  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum & 0xffff);
+}
+
+// Feeds `bytes` to the kernel in runs cut at up to four random points.
+std::uint16_t KernelChecksum(std::span<const std::byte> bytes, std::mt19937_64& rng) {
+  std::vector<std::size_t> cuts(rng() % 5);
+  for (auto& c : cuts) c = bytes.size() == 0 ? 0 : rng() % (bytes.size() + 1);
+  std::sort(cuts.begin(), cuts.end());
+  cuts.push_back(bytes.size());
+  InternetChecksum sum;
+  std::size_t at = 0;
+  for (std::size_t c : cuts) {
+    sum.Add(bytes.subspan(at, c - at));
+    at = c;
+  }
+  return sum.Finish();
+}
+
+TEST(Checksum, KernelMatchesBytePairOracle) {
+  // Every length up to a jumbo ATM frame, at every start offset mod 8, cut
+  // into runs at random (odd and even) points — plus all-0x00 and all-0xff
+  // buffers, the two 1s-complement zeros.
+  constexpr std::size_t kMaxLen = 9200;
+  std::mt19937_64 rng(1071);
+  std::vector<std::byte> random(kMaxLen + 8);
+  for (auto& b : random) b = static_cast<std::byte>(rng());
+  const std::vector<std::byte> zeros(kMaxLen + 8, std::byte{0x00});
+  const std::vector<std::byte> ones(kMaxLen + 8, std::byte{0xff});
+  for (std::size_t len = 0; len <= kMaxLen; ++len) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      const std::span<const std::byte> s(random.data() + off, len);
+      ASSERT_EQ(KernelChecksum(s, rng), BytePairChecksum(s)) << "len " << len << " off " << off;
+    }
+    for (const auto* fill : {&zeros, &ones}) {
+      const std::span<const std::byte> s(fill->data() + len % 8, len);
+      ASSERT_EQ(KernelChecksum(s, rng), BytePairChecksum(s))
+          << "len " << len << " fill " << std::to_integer<int>((*fill)[0]);
+    }
+  }
+}
 
 TEST(MacAddress, ParseAndPrint) {
   auto m = MacAddress::Parse("02:00:00:00:00:2a");
