@@ -6,15 +6,11 @@
 // Every connection performs connect / HTTP GET / close. Induced frame loss
 // forces RTO and delayed-ACK traffic, and every close parks a 2MSL timer, so
 // the pending-timer population grows with N — exactly the load the
-// hierarchical timing wheel (SchedulerImpl::kWheel) exists for. The bench
-// runs each N under both scheduler implementations and reports wall-clock
-// and simulated ns per connection plus the pending-timer high-water mark
-// (sim.timer_pending_peak).
-//
-// The two implementations must also agree bit-for-bit on virtual time:
-// identical (deadline, FIFO) firing order means the simulated completion
-// time is the same number under heap and wheel. The bench exits non-zero if
-// they diverge.
+// simulator's hierarchical timing wheel exists for. The bench runs each N
+// once and reports wall-clock and simulated ns per connection plus the
+// pending-timer high-water mark (sim.timer_pending_peak). Its sim_ns rows
+// are scripts/check.sh's zero-tolerance virtual-time gate against
+// bench/baselines/BENCH_scale.json.
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -47,10 +43,10 @@ struct ScaleResult {
   double profiled_self_ns = 0;
 };
 
-ScaleResult RunScale(sim::SchedulerImpl impl, int n) {
+ScaleResult RunScale(int n) {
   const auto wall_start = std::chrono::steady_clock::now();
 
-  sim::Simulator sim(impl);
+  sim::Simulator sim;
   drivers::EthernetSegment segment(sim);
   drivers::Faults faults;
   faults.drop_probability = 0.005;  // ~0.5% frame loss: RTO timers really fire
@@ -177,93 +173,73 @@ int main(int argc, char** argv) {
 
   std::printf("connection scale: N clients, connect/GET/close, 0.5%% frame loss\n");
   std::printf("(in-kernel web server; pending timers grow with N — RTO, delack, 2MSL)\n\n");
-  std::printf("  %6s %6s | %9s %13s %13s %11s | %10s %10s %10s\n", "N", "sched",
-              "done", "sim ms total", "sim ns/conn", "wall ns/c", "peak timers",
-              "schedules", "fires");
+  std::printf("  %6s | %9s %13s %13s %11s | %10s %10s %10s\n", "N", "done",
+              "sim ms total", "sim ns/conn", "wall ns/c", "peak timers", "schedules",
+              "fires");
 
   int rc = 0;
   for (const int n : sizes) {
-    ScaleResult by_impl[2];
-    for (const sim::SchedulerImpl impl :
-         {sim::SchedulerImpl::kHeap, sim::SchedulerImpl::kWheel}) {
-      const bool wheel = impl == sim::SchedulerImpl::kWheel;
-      const ScaleResult r = RunScale(impl, n);
-      by_impl[wheel ? 1 : 0] = r;
-      std::printf("  %6d %6s | %4d/%-4d %13.1f %13.0f %11.0f | %10" PRId64
-                  " %10" PRIu64 " %10" PRIu64 "\n",
-                  n, wheel ? "wheel" : "heap", r.completed, n, r.sim_ms,
-                  r.sim_ns_per_conn, r.wall_ns_per_conn, r.timer_pending_peak,
-                  r.timer_schedules, r.timer_fires);
-      if (r.completed != n) {
-        std::fprintf(stderr, "FAIL: only %d/%d connections completed (n=%d, %s)\n",
-                     r.completed, n, n, wheel ? "wheel" : "heap");
-        rc = 1;
-      }
-      // Profiler acceptance gate: at the top N, the ranked self-time table
-      // must account for at least 90% of the run loop's measured wall time.
-      if (profiling && n == 10000) {
-        const double coverage = r.profiled_self_ns / r.run_loop_wall_ns;
-        std::printf("         profile coverage: %.1f%% of %.1f ms run-loop wall (%s)\n",
-                    coverage * 100.0, r.run_loop_wall_ns / 1e6,
-                    wheel ? "wheel" : "heap");
-        if (coverage < 0.90) {
-          std::fprintf(stderr,
-                       "FAIL: profiled self-time covers only %.1f%% of the "
-                       "run loop at n=%d (%s); need >= 90%%\n",
-                       coverage * 100.0, n, wheel ? "wheel" : "heap");
-          rc = 1;
-        }
-      }
-      bench::BenchRecord rec;
-      rec.experiment = "scale_connections";
-      rec.device = "ethernet-10";
-      rec.system = wheel ? "plexus-wheel" : "plexus-heap";
-      rec.metric = "conn_n" + std::to_string(n);
-      rec.unit = "sim_ns/conn";
-      rec.measured = r.sim_ns_per_conn;
-      rec.paper_expected = "n/a (scale workload)";
-      rec.metrics_json =
-          "{\"n\":" + std::to_string(n) +
-          ",\"completed\":" + std::to_string(r.completed) +
-          ",\"wall_ns_per_conn\":" + std::to_string(r.wall_ns_per_conn) +
-          ",\"timer_pending_peak\":" + std::to_string(r.timer_pending_peak) +
-          ",\"timer_schedules\":" + std::to_string(r.timer_schedules) +
-          ",\"timer_cancels\":" + std::to_string(r.timer_cancels) +
-          ",\"timer_fires\":" + std::to_string(r.timer_fires) + "}";
-      reporter.Add(std::move(rec));
-      // Companion wall-clock row. The "wall" metric/unit makes
-      // bench_compare.py treat it as report-only (machine-dependent), while
-      // the sim_ns row above stays a hard determinism gate. Distinct metric
-      // name: compare keys are (experiment, device, system, metric).
-      bench::BenchRecord wall;
-      wall.experiment = "scale_connections";
-      wall.device = "ethernet-10";
-      wall.system = wheel ? "plexus-wheel" : "plexus-heap";
-      wall.metric = "wall_n" + std::to_string(n);
-      wall.unit = "wall_ns/conn";
-      wall.measured = r.wall_ns_per_conn;
-      wall.paper_expected = "n/a (host wall clock, report-only)";
-      wall.metrics_json = "{\"n\":" + std::to_string(n) + "}";
-      reporter.Add(std::move(wall));
-    }
-    // Determinism across queue implementations: same (deadline, FIFO) order
-    // must mean the same virtual completion time to the nanosecond.
-    if (by_impl[0].sim_ns_per_conn != by_impl[1].sim_ns_per_conn ||
-        by_impl[0].timer_fires != by_impl[1].timer_fires) {
-      std::fprintf(stderr,
-                   "FAIL: heap and wheel diverge at n=%d (sim ns/conn %f vs %f, "
-                   "fires %" PRIu64 " vs %" PRIu64 ")\n",
-                   n, by_impl[0].sim_ns_per_conn, by_impl[1].sim_ns_per_conn,
-                   by_impl[0].timer_fires, by_impl[1].timer_fires);
+    const ScaleResult r = RunScale(n);
+    std::printf("  %6d | %4d/%-4d %13.1f %13.0f %11.0f | %10" PRId64 " %10" PRIu64
+                " %10" PRIu64 "\n",
+                n, r.completed, n, r.sim_ms, r.sim_ns_per_conn, r.wall_ns_per_conn,
+                r.timer_pending_peak, r.timer_schedules, r.timer_fires);
+    if (r.completed != n) {
+      std::fprintf(stderr, "FAIL: only %d/%d connections completed (n=%d)\n", r.completed, n,
+                   n);
       rc = 1;
     }
+    // Profiler acceptance gate: at the top N, the ranked self-time table
+    // must account for at least 90% of the run loop's measured wall time.
+    if (profiling && n == 10000) {
+      const double coverage = r.profiled_self_ns / r.run_loop_wall_ns;
+      std::printf("         profile coverage: %.1f%% of %.1f ms run-loop wall\n",
+                  coverage * 100.0, r.run_loop_wall_ns / 1e6);
+      if (coverage < 0.90) {
+        std::fprintf(stderr,
+                     "FAIL: profiled self-time covers only %.1f%% of the "
+                     "run loop at n=%d; need >= 90%%\n",
+                     coverage * 100.0, n);
+        rc = 1;
+      }
+    }
+    bench::BenchRecord rec;
+    rec.experiment = "scale_connections";
+    rec.device = "ethernet-10";
+    rec.system = "plexus-wheel";
+    rec.metric = "conn_n" + std::to_string(n);
+    rec.unit = "sim_ns/conn";
+    rec.measured = r.sim_ns_per_conn;
+    rec.paper_expected = "n/a (scale workload)";
+    rec.metrics_json =
+        "{\"n\":" + std::to_string(n) +
+        ",\"completed\":" + std::to_string(r.completed) +
+        ",\"wall_ns_per_conn\":" + std::to_string(r.wall_ns_per_conn) +
+        ",\"timer_pending_peak\":" + std::to_string(r.timer_pending_peak) +
+        ",\"timer_schedules\":" + std::to_string(r.timer_schedules) +
+        ",\"timer_cancels\":" + std::to_string(r.timer_cancels) +
+        ",\"timer_fires\":" + std::to_string(r.timer_fires) + "}";
+    reporter.Add(std::move(rec));
+    // Companion wall-clock row. The "wall" metric/unit makes
+    // bench_compare.py treat it as report-only (machine-dependent), while
+    // the sim_ns row above stays a hard determinism gate. Distinct metric
+    // name: compare keys are (experiment, device, system, metric).
+    bench::BenchRecord wall;
+    wall.experiment = "scale_connections";
+    wall.device = "ethernet-10";
+    wall.system = "plexus-wheel";
+    wall.metric = "wall_n" + std::to_string(n);
+    wall.unit = "wall_ns/conn";
+    wall.measured = r.wall_ns_per_conn;
+    wall.paper_expected = "n/a (host wall clock, report-only)";
+    wall.metrics_json = "{\"n\":" + std::to_string(n) + "}";
+    reporter.Add(std::move(wall));
   }
   if (rc == 0) {
-    std::printf("\n  scale check PASS: all connections completed; heap and wheel "
-                "agree on virtual time at every N\n");
+    std::printf("\n  scale check PASS: all connections completed at every N\n");
   }
   if (profiling) {
-    // Where the host CPU went during the last (n=10000, wheel) run.
+    // Where the host CPU went during the last run.
     std::printf("\n%s", sim::Profiler::RankedTable().c_str());
     if (!profile_path.empty()) {
       std::FILE* f = std::fopen(profile_path.c_str(), "w");

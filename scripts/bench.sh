@@ -8,7 +8,8 @@
 #   BENCH_micro.json       Demux scaling microbenchmark (linear guard scan
 #                          vs compiled index, wall + simulated ns/raise)
 #   BENCH_timer.json       Timer queue microbenchmark (hierarchical wheel vs
-#                          binary heap, schedule+cancel and drain)
+#                          a lazily cancelled binary heap, schedule+cancel
+#                          and drain)
 #   BENCH_alloc.json       Allocation microbenchmark (slab vs operator
 #                          new/delete churn at the engine's hot object
 #                          sizes, plus the SmallFn heap-fallback count)
@@ -27,8 +28,8 @@
 # disabled tracing adds no measurable cost to Event::Raise, that indexed
 # dispatch at N=256 handlers is >=5x the linear scan, and that the timing
 # wheel's schedule+cancel throughput at 64k pending timers is >=1.5x the
-# heap (both queues now draw nodes from the same slab pool, so the gate
-# measures the wheel's algorithmic edge, not the old allocation gap).
+# bench's lazily cancelled binary heap (both queues draw nodes from a slab
+# pool, so the gate measures the wheel's algorithmic edge).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Builds the suite under AddressSanitizer + UndefinedBehaviorSanitizer and
+# First lints that perfbench refuses every env gate src/ reads. Then builds
+# the suite under AddressSanitizer + UndefinedBehaviorSanitizer and
 # runs every tier-1 test seven times: plain, with PLEXUS_TRACE=1 (tracer
 # recording), with PLEXUS_MBUF_POOL=small (starved 256-segment mbuf pool),
 # with PLEXUS_CHAOS_FLAP=1 (mid-run link flap), with PLEXUS_PROFILE=1
@@ -18,6 +19,20 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build-sanitize}"
+
+echo "=== lint: perfbench refuses every env gate named in src/ ==="
+# perfbench promises to measure the default engine only. A "PLEXUS_..."
+# gate that src/ reads but perfbench's kEngineGates list does not refuse
+# could switch the benchmarked engine without anyone noticing.
+refused="$(sed -n '/kEngineGates\[\] = {/,/};/p' perfbench/main.cc)"
+lint_failed=0
+for gate in $(grep -rhoE '"PLEXUS_[A-Z0-9_]+"' src | sort -u); do
+  if ! grep -qF "$gate" <<<"$refused"; then
+    echo "env gate $gate in src/ is missing from kEngineGates in perfbench/main.cc" >&2
+    lint_failed=1
+  fi
+done
+[[ "$lint_failed" == 0 ]] || exit 1
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -66,14 +81,14 @@ echo "=== slow pass: soak / scale suites (label: slow) ==="
 # in their own labelled pass, still under the sanitizers.
 ctest --test-dir "$BUILD_DIR" -L slow --output-on-failure "$@"
 
-echo "=== perf smoke: demux index vs linear guard scan, timer wheel vs heap ==="
+echo "=== perf smoke: demux index vs linear guard scan, timer wheel vs lazy heap ==="
 # Wall-clock gates, so they run against the regular (non-sanitized) build:
 # bench_micro_dispatch exits non-zero if indexed dispatch at N=256 handlers
 # is not at least 5x faster than the linear path it replaces (and if
 # disabled tracing taxes the raise path); bench_micro_timer exits non-zero
-# if the timing wheel's schedule+cancel throughput at 64k pending timers is
-# not at least 1.5x the binary heap's (both queues now slab-pooled, so the
-# gate measures the wheel's algorithmic edge).
+# if the simulator's schedule+cancel throughput at 64k pending timers is
+# not at least 1.5x that of the bench's own lazily cancelled binary heap
+# (both slab-pooled, so the gate measures the wheel's algorithmic edge).
 PERF_BUILD_DIR="${PERF_BUILD_DIR:-build}"
 cmake -B "$PERF_BUILD_DIR" -S .
 cmake --build "$PERF_BUILD_DIR" -j "$(nproc)" --target bench_micro_dispatch \

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 #include "drivers/nic.h"
+#include "sim/env_flag.h"
 
 namespace drivers {
 
@@ -14,8 +14,7 @@ Medium::Medium(sim::Simulator& s, std::uint64_t fault_seed) : sim_(s), rng_(faul
   // hit the wire inside it vanish; everything above must absorb the loss
   // via its normal recovery paths. Used by check.sh to run the tier-1
   // suite with structural loss enabled.
-  if (const char* flap = std::getenv("PLEXUS_CHAOS_FLAP");
-      flap != nullptr && flap[0] != '\0' && flap[0] != '0') {
+  if (sim::EnvFlag("PLEXUS_CHAOS_FLAP", false)) {
     const sim::TimePoint down = sim_.Now() + sim::Duration::Nanos(7'777'000);
     sim_.ScheduleAt(down, [this] { set_carrier(false); });
     sim_.ScheduleAt(down + sim::Duration::Nanos(2'000), [this] { set_carrier(true); });

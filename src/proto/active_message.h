@@ -38,7 +38,6 @@ class ActiveMessageEndpoint {
   explicit ActiveMessageEndpoint(sim::Host& host, EthLayer& eth) : host_(host), eth_(eth) {}
 
   void RegisterHandler(std::uint16_t id, Handler h) { handlers_[id] = std::move(h); }
-  void UnregisterHandler(std::uint16_t id) { handlers_.erase(id); }
 
   // Sends an active message. Must run inside a CPU task.
   void Send(net::MacAddress dst, std::uint16_t handler_id, std::uint32_t arg0,

@@ -71,12 +71,6 @@ class EthLayer {
     nic_.Transmit(std::move(payload));
   }
 
-  // Strips the Ethernet header from a received frame (for upper layers).
-  static net::MbufPtr StripHeader(net::MbufPtr frame) {
-    frame->TrimFront(sizeof(net::EthernetHeader));
-    return frame;
-  }
-
  private:
   // One rx burst: per-frame framing work (eth_input charge, header parse,
   // upcall) is unchanged and runs in arrival order; only the bracketing

@@ -243,8 +243,7 @@ class TcpConnection {
   void SendRst(Seq seq, Seq ack, bool with_ack);
 
   // --- output engine ---
-  void TrySend();          // push data/FIN within window+cwnd
-  bool FinQueued() const { return fin_pending_; }
+  void TrySend();  // push data/FIN within window+cwnd
 
   // --- input handling ---
   void ProcessListen(const net::TcpHeader& hdr);

@@ -48,7 +48,6 @@ class UdpLayer {
   // Port demux used by the monolithic wiring. Returns false if in use.
   bool Bind(std::uint16_t port, Receiver receiver);
   void Unbind(std::uint16_t port);
-  bool IsBound(std::uint16_t port) const { return receivers_.contains(port); }
 
   // Receiver for packets with no bound port (Plexus wiring installs the
   // graph's own demux here; also useful for port-unreachable generation).

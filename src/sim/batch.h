@@ -12,7 +12,7 @@
 #ifndef PLEXUS_SIM_BATCH_H_
 #define PLEXUS_SIM_BATCH_H_
 
-#include <cstdlib>
+#include "sim/env_flag.h"
 
 namespace sim {
 
@@ -25,13 +25,7 @@ class BatchConfig {
   static void SetEnabled(bool on) { state_ = on ? 2 : 1; }
 
  private:
-  static void ResolveFromEnv() {
-    const char* env = std::getenv("PLEXUS_BATCH");
-    const bool off = env != nullptr &&
-                     (env[0] == '0' || ((env[0] == 'o' || env[0] == 'O') &&
-                                        (env[1] == 'f' || env[1] == 'F')));
-    state_ = off ? 1 : 2;
-  }
+  static void ResolveFromEnv() { state_ = EnvFlag("PLEXUS_BATCH", true) ? 2 : 1; }
   static inline int state_ = 0;  // 0 unresolved, 1 disabled, 2 enabled
 };
 

@@ -81,11 +81,6 @@ class Cpu {
   Duration busy_total() const { return busy_total_; }
   std::size_t tasks_run() const { return tasks_run_; }
   std::size_t preemptions() const { return preemptions_; }
-  void ResetAccounting() {
-    busy_total_ = Duration::Zero();
-    tasks_run_ = 0;
-    preemptions_ = 0;
-  }
 
   // Power-fail reset: discards every queued task and the running slice's
   // remainder (its completion side effects never fire). Used by host crash

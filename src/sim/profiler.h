@@ -30,8 +30,9 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
+
+#include "sim/env_flag.h"
 
 namespace sim {
 
@@ -56,7 +57,7 @@ class Profiler {
     kTimerSchedule,     // Simulator::ScheduleAt
     kTimerCancel,       // Simulator::Cancel
     kTimerFire,         // popped event callback execution
-    kSchedulerPop,      // EventQueue::PopDueBefore (heap pop / wheel scan)
+    kSchedulerPop,      // TimerWheel::PopDueBefore (wheel scan)
     kSchedulerCascade,  // timing-wheel level cascade
     kMbufAlloc,         // Mbuf::Allocate / FromBytes (pooled or heap)
     kMbufFree,          // pooled segment retirement
@@ -116,10 +117,7 @@ class Profiler {
  private:
   friend class ProfileScope;
 
-  static void ResolveFromEnv() {
-    const char* env = std::getenv("PLEXUS_PROFILE");
-    state_ = (env != nullptr && env[0] != '\0' && env[0] != '0') ? 2 : 1;
-  }
+  static void ResolveFromEnv() { state_ = EnvFlag("PLEXUS_PROFILE", false) ? 2 : 1; }
 
   // Same power-of-two bucketing as sim::Histogram (bucket 0: v == 0;
   // bucket i: [2^(i-1), 2^i - 1]; bucket 63 saturates), restated here to

@@ -2,7 +2,7 @@
 //
 // Generalizes the PR 5 pool idea (bounded, observable allocation) into the
 // wall-clock domain: the simulator's per-event, per-packet heap traffic —
-// mbuf headers, mbuf segment storage, heap-scheduler nodes — is served from
+// mbuf headers, mbuf segment storage, timer-wheel nodes — is served from
 // chunked free lists instead of malloc. An Alloc is a pointer pop, a Free a
 // pointer push; chunks (64 KiB by default) amortize the real allocator to
 // one call per ~hundreds of objects and keep same-type objects contiguous.
@@ -31,11 +31,12 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <new>
 #include <string>
 #include <vector>
+
+#include "sim/env_flag.h"
 
 namespace sim {
 
@@ -54,13 +55,7 @@ class SlabConfig {
   static void SetEnabled(bool on) { state_ = on ? 2 : 1; }
 
  private:
-  static void ResolveFromEnv() {
-    const char* env = std::getenv("PLEXUS_SLAB");
-    const bool off = env != nullptr &&
-                     (env[0] == '0' || ((env[0] == 'o' || env[0] == 'O') &&
-                                        (env[1] == 'f' || env[1] == 'F')));
-    state_ = off ? 1 : 2;
-  }
+  static void ResolveFromEnv() { state_ = EnvFlag("PLEXUS_SLAB", true) ? 2 : 1; }
   static inline int state_ = 0;  // 0 unresolved, 1 disabled, 2 enabled
 };
 
@@ -205,10 +200,10 @@ class Slab : public BlockSlab {
 
 // Index pool: a slab variant whose handles are (index, generation) pairs
 // instead of pointers, for queues that encode cancellation ids as integers
-// (the timing wheel's EventId, the heap scheduler's entries). Slots live in
-// one growing array — same cache behavior as a slab chunk — and each Free
-// bumps the slot's generation so stale handles compare invalid instead of
-// aliasing a recycled slot. Unlike BlockSlab this pool is NOT degraded by
+// (the timing wheel's EventId). Slots live in one growing array — same
+// cache behavior as a slab chunk — and each Free bumps the slot's
+// generation so stale handles compare invalid instead of aliasing a
+// recycled slot. Unlike BlockSlab this pool is NOT degraded by
 // PLEXUS_SLAB=off: handle encoding is identity-bearing, and the pool is
 // deterministic either way (the ablation targets malloc-backed slabs).
 template <typename T>

@@ -21,8 +21,9 @@
 // entry sits at the level/slot its deadline implies relative to the cursor.
 // Levels are then strictly ordered in time, slots within a level are ordered,
 // and a level-0 slot holds exactly one deadline, inside which the minimum
-// seq is selected — byte-for-byte the firing order of a binary heap keyed on
-// (deadline, seq). See DESIGN.md section 11 for the invariant argument.
+// seq is selected — exactly the order of a map keyed on (deadline, seq),
+// the oracle timer_wheel_test checks the wheel against. See DESIGN.md
+// section 11 for the invariant argument.
 //
 // Allocation: nodes live in a sim::IndexPool slab ("sched.wheel_node" in the
 // slab registry) and callbacks are sim::EventFn — inline-capture callables —

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
+#include "sim/env_flag.h"
 #include "sim/metrics.h"
 
 namespace sim {
@@ -47,8 +46,7 @@ std::string JsonEscape(const std::string& s) {
 }  // namespace
 
 Tracer::Tracer(std::size_t capacity) : capacity_(capacity) {
-  const char* env = std::getenv("PLEXUS_TRACE");
-  enabled_ = env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
+  enabled_ = EnvFlag("PLEXUS_TRACE", false);
 }
 
 int Tracer::RegisterTrack(std::string name) {
@@ -171,24 +169,6 @@ std::vector<Tracer::Record> SortedByBegin(std::vector<Tracer::Record> recs) {
 }
 }  // namespace
 
-std::string Tracer::ExportText() const {
-  std::ostringstream out;
-  for (const Record& r : SortedByBegin(Records())) {
-    out << '[' << MicrosFixed(r.task_start.ns() + r.begin_offset.ns())
-        << "us] " << track_name(r.track) << ' ';
-    for (int i = 0; i < r.depth; ++i) out << "  ";
-    out << (r.kind == Record::Kind::kSpan ? r.name : "! " + r.name) << " ("
-        << r.category << ")";
-    if (r.trace_id != 0) out << " id=" << r.trace_id;
-    if (r.kind == Record::Kind::kSpan) {
-      out << " total=" << r.total.ns() << "ns self=" << r.self.ns() << "ns";
-    }
-    out << '\n';
-  }
-  if (dropped_ > 0) out << "(ring dropped " << dropped_ << " records)\n";
-  return out.str();
-}
-
 std::string Tracer::ExportChromeJson() const {
   std::ostringstream out;
   out << "{\"traceEvents\":[";
@@ -218,13 +198,6 @@ std::string Tracer::ExportChromeJson() const {
   }
   out << "]}";
   return out.str();
-}
-
-bool Tracer::WriteChromeJson(const std::string& path) const {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) return false;
-  f << ExportChromeJson() << '\n';
-  return static_cast<bool>(f);
 }
 
 std::string Tracer::ExportChargeBreakdownJson() const {

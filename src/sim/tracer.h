@@ -57,9 +57,9 @@ class Tracer {
   // small enough that an always-on stress test stays bounded.
   explicit Tracer(std::size_t capacity = 1 << 16);
 
-  // Enabled by default only when PLEXUS_TRACE is set in the environment
-  // (how scripts/check.sh runs the tracer-enabled test pass); programs
-  // flip it explicitly with SetEnabled.
+  // Enabled by default only when PLEXUS_TRACE is on in the environment
+  // (sim/env_flag.h; how scripts/check.sh runs the tracer-enabled test
+  // pass); programs flip it explicitly with SetEnabled.
   bool enabled() const { return enabled_; }
   void SetEnabled(bool on) { enabled_ = on; }
 
@@ -110,12 +110,8 @@ class Tracer {
 
   void Clear();
 
-  // Exporters. Chrome JSON loads in chrome://tracing / Perfetto; text is a
-  // line-per-record human rendering (the replacement sink for the old
-  // printf-style sim::Trace).
-  std::string ExportText() const;
+  // Chrome JSON exporter; loads in chrome://tracing / Perfetto.
   std::string ExportChromeJson() const;
-  bool WriteChromeJson(const std::string& path) const;
 
   // {"driver":ns,...} — deterministic (map-ordered) category breakdown.
   std::string ExportChargeBreakdownJson() const;

@@ -498,16 +498,6 @@ class Event {
     return {};
   }
 
-  // Names of live handlers in installation order (graph introspection).
-  std::vector<std::string> HandlerNames() const {
-    std::vector<std::string> out;
-    for (const auto& e : entries_) {
-      if (!e->alive) continue;
-      out.push_back(e->display_name);
-    }
-    return out;
-  }
-
   // Live handlers in installation order, then quarantined tombstones:
   // the per-handler view DescribeGraph renders.
   std::vector<HandlerInfo> Describe() const {

@@ -114,7 +114,6 @@ class DynamicLinker {
   bool Unlink(ExtensionId id);
 
   std::size_t loaded_count() const { return loaded_.size(); }
-  bool IsLoaded(ExtensionId id) const { return loaded_.contains(id); }
 
  private:
   Result<ExtensionId> DoLink(Extension ext, const DomainPtr& domain, bool require_signature);

@@ -438,9 +438,6 @@ TEST(Observability, MetricsCoverEveryLayerOfThePingPath) {
 // --- scheduler / tracing interaction ---------------------------------------
 
 struct TcpTraceArtifacts {
-  std::string chrome_json;
-  std::string metrics_a;
-  std::string metrics_b;
   std::vector<sim::Tracer::Record> records;
   sim::Duration total_charged;
   sim::Duration cpu_busy;
@@ -449,10 +446,9 @@ struct TcpTraceArtifacts {
 
 // A traced TCP exchange that exercises the connection timers: one data
 // segment with nothing to say back (delayed-ACK timer fires), then an
-// orderly close (2MSL TIME_WAIT timer fires). Parameterized on the
-// scheduler implementation so heap and wheel artifacts can be compared.
-TcpTraceArtifacts RunTracedTcpExchange(sim::SchedulerImpl impl) {
-  sim::Simulator sim(impl);
+// orderly close (2MSL TIME_WAIT timer fires).
+TcpTraceArtifacts RunTracedTcpExchange() {
+  sim::Simulator sim;
   sim.tracer().SetEnabled(true);
   drivers::EthernetSegment segment(sim);
   const auto profile = drivers::DeviceProfile::Ethernet10();
@@ -486,9 +482,6 @@ TcpTraceArtifacts RunTracedTcpExchange(sim::SchedulerImpl impl) {
   sim.RunFor(sim::Duration::Seconds(60));  // past the 2MSL (30s) expiry
 
   TcpTraceArtifacts out;
-  out.chrome_json = sim.tracer().ExportChromeJson();
-  out.metrics_a = a.host().metrics().ToJson();
-  out.metrics_b = b.host().metrics().ToJson();
   out.records = sim.tracer().Records();
   out.total_charged = sim.tracer().total_charged();
   out.cpu_busy = a.host().cpu().busy_total() + b.host().cpu().busy_total();
@@ -497,7 +490,7 @@ TcpTraceArtifacts RunTracedTcpExchange(sim::SchedulerImpl impl) {
 }
 
 TEST(Observability, TimerFiresCarryArmingTraceIdsInTimerCategory) {
-  const TcpTraceArtifacts art = RunTracedTcpExchange(sim::SchedulerImpl::kWheel);
+  const TcpTraceArtifacts art = RunTracedTcpExchange();
 
   bool saw_delack = false, saw_time_wait = false, saw_traced_timer = false;
   for (const auto& r : art.records) {
@@ -514,22 +507,9 @@ TEST(Observability, TimerFiresCarryArmingTraceIdsInTimerCategory) {
   EXPECT_TRUE(saw_traced_timer) << "timer fires lost their arming trace id";
 
   // With timer_op charges in the arm/cancel/fire paths, the charge ledger
-  // must still account for exactly the CPUs' busy time under the wheel.
+  // must still account for exactly the CPUs' busy time.
   EXPECT_EQ(art.total_charged, art.cpu_busy);
   EXPECT_GT(art.timer_fires, 0u);
-}
-
-TEST(Observability, SchedulersExportIdenticalTraceArtifacts) {
-  // The scheduler is invisible to every exported artifact: same spans, same
-  // instants, same metrics, same charges, byte for byte.
-  const TcpTraceArtifacts heap = RunTracedTcpExchange(sim::SchedulerImpl::kHeap);
-  const TcpTraceArtifacts wheel = RunTracedTcpExchange(sim::SchedulerImpl::kWheel);
-  EXPECT_EQ(heap.chrome_json, wheel.chrome_json);
-  EXPECT_EQ(heap.metrics_a, wheel.metrics_a);
-  EXPECT_EQ(heap.metrics_b, wheel.metrics_b);
-  EXPECT_EQ(heap.total_charged, wheel.total_charged);
-  EXPECT_EQ(heap.timer_fires, wheel.timer_fires);
-  EXPECT_EQ(heap.total_charged, heap.cpu_busy);
 }
 
 TEST(Observability, DescribeGraphIncludesMetricsSnapshot) {

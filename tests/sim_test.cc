@@ -1,16 +1,19 @@
 // Unit tests for the discrete-event simulation substrate.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "sim/cost_model.h"
 #include "sim/cpu.h"
+#include "sim/env_flag.h"
 #include "sim/host.h"
 #include "sim/metrics.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "sim/tracer.h"
 
 namespace sim {
 namespace {
@@ -117,6 +120,29 @@ TEST(Simulator, StopAbortsRun) {
   EXPECT_EQ(count, 3);
 }
 
+TEST(Simulator, RunUntilAfterStopKeepsTheClockBehindQueuedEvents) {
+  // A Stop() inside RunUntil leaves due events queued; the clock must stay
+  // at the stopping event so the next run fires them in order, not in the
+  // past.
+  Simulator s;
+  std::vector<std::int64_t> fired_at;
+  for (int i = 1; i <= 5; ++i) {
+    s.Schedule(Duration::Micros(i), [&, i] {
+      fired_at.push_back(s.Now().ns());
+      if (i == 2) s.Stop();
+    });
+  }
+  s.RunUntil(TimePoint() + Duration::Micros(10));
+  EXPECT_EQ(s.Now().ns(), Duration::Micros(2).ns());
+  EXPECT_EQ(s.pending_events(), 3u);
+  s.Run();
+  EXPECT_EQ(fired_at, (std::vector<std::int64_t>{1000, 2000, 3000, 4000, 5000}));
+  EXPECT_EQ(s.Now().ns(), Duration::Micros(5).ns());
+  // An unstopped RunUntil still advances to its horizon.
+  s.RunUntil(TimePoint() + Duration::Micros(10));
+  EXPECT_EQ(s.Now().ns(), Duration::Micros(10).ns());
+}
+
 TEST(Simulator, ScheduleInPastClampsToNow) {
   Simulator s;
   s.Schedule(Duration::Micros(10), [&] {
@@ -128,12 +154,8 @@ TEST(Simulator, ScheduleInPastClampsToNow) {
   EXPECT_EQ(s.Now().us(), 10.0);
 }
 
-TEST(Simulator, HeapCompactionBoundsDeadEntries) {
-  // Regression for the lazy-cancellation leak: cancelling most of a large
-  // queue must not leave the heap full of dead entries. Compaction runs
-  // whenever dead entries exceed half the queue, so the residue is always
-  // bounded by the live population.
-  Simulator s(SchedulerImpl::kHeap);
+TEST(Simulator, WheelCancelsEagerly) {
+  Simulator s;
   int fired = 0;
   std::vector<EventId> ids;
   for (int i = 0; i < 1000; ++i) {
@@ -141,25 +163,10 @@ TEST(Simulator, HeapCompactionBoundsDeadEntries) {
   }
   for (int i = 0; i < 900; ++i) s.Cancel(ids[static_cast<std::size_t>(i)]);
   EXPECT_EQ(s.pending_events(), 100u);
-  EXPECT_LE(s.dead_entries(), s.pending_events() + 1);
-  EXPECT_EQ(s.metrics().gauge("sim.scheduler_dead_entries").value(),
-            static_cast<std::int64_t>(s.dead_entries()));
-  EXPECT_GE(s.metrics().counter("sim.scheduler_compactions").value(), 1u);
+  EXPECT_EQ(s.metrics().gauge("sim.timer_pending").value(), 100);
+  EXPECT_EQ(s.metrics().counter("sim.timer_cancels").value(), 900u);
   s.Run();
   EXPECT_EQ(fired, 100);  // every survivor fires exactly once
-  EXPECT_EQ(s.dead_entries(), 0u);
-}
-
-TEST(Simulator, WheelCancelsEagerly) {
-  Simulator s(SchedulerImpl::kWheel);
-  std::vector<EventId> ids;
-  for (int i = 0; i < 1000; ++i) {
-    ids.push_back(s.Schedule(Duration::Micros(10 + i), [] {}));
-  }
-  for (int i = 0; i < 900; ++i) s.Cancel(ids[static_cast<std::size_t>(i)]);
-  EXPECT_EQ(s.pending_events(), 100u);
-  EXPECT_EQ(s.dead_entries(), 0u);  // no lazy residue, ever
-  EXPECT_EQ(s.metrics().counter("sim.timer_cancels").value(), 900u);
 }
 
 TEST(Cpu, SerializesTasks) {
@@ -400,6 +407,45 @@ TEST(Random, ExponentialMeanRoughlyCorrect) {
   for (int i = 0; i < n; ++i) total += r.Exponential(mean).ns();
   const double avg_us = static_cast<double>(total) / n / 1000.0;
   EXPECT_NEAR(avg_us, 100.0, 5.0);
+}
+
+TEST(EnvFlag, OneOnOffRuleForEveryBooleanGate) {
+  struct Case {
+    const char* value;  // nullptr: unset
+    bool fallback;
+    bool want;
+  };
+  const Case cases[] = {
+      {nullptr, false, false}, {nullptr, true, true}, {"", false, false},
+      {"", true, true},        {"0", true, false},    {"off", true, false},
+      {"OFF", true, false},    {"oFf", true, false},  {"1", false, true},
+      {"on", false, true},     {"yes", false, true},  {"00", false, true},
+      {"of", false, true},     {"offs", false, true}, {"0ff", false, true},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(ParseEnvFlag(c.value, c.fallback), c.want)
+        << (c.value != nullptr ? c.value : "(unset)") << " fallback " << c.fallback;
+  }
+}
+
+TEST(EnvFlag, TraceOffLeavesTheTracerDisabled) {
+  // Saves and restores PLEXUS_TRACE so the check.sh pass that sets it
+  // keeps its value for the tests that follow.
+  const char* saved = std::getenv("PLEXUS_TRACE");
+  const std::string saved_copy = saved ? saved : "";
+  for (const char* off : {"off", "OFF", "0", ""}) {
+    ::setenv("PLEXUS_TRACE", off, 1);
+    EXPECT_FALSE(Tracer().enabled()) << "PLEXUS_TRACE=" << off;
+  }
+  ::setenv("PLEXUS_TRACE", "1", 1);
+  EXPECT_TRUE(Tracer().enabled());
+  ::unsetenv("PLEXUS_TRACE");
+  EXPECT_FALSE(Tracer().enabled());
+  if (saved) {
+    ::setenv("PLEXUS_TRACE", saved_copy.c_str(), 1);
+  } else {
+    ::unsetenv("PLEXUS_TRACE");
+  }
 }
 
 TEST(CostModel, PresetsDiffer) {

@@ -1,18 +1,21 @@
-// Property-test harness for the scheduler: the hierarchical timing wheel and
-// the binary heap must be observationally identical.
+// Property-test harness for the scheduler: Simulator, which drives the
+// hierarchical timing wheel, must be observationally identical to an
+// ordered map keyed on (deadline, seq) — the firing order by definition.
 //
 // Mirrors demux_equivalence_test: a seeded generator produces randomized
-// op scripts (schedule / cancel / reschedule / advance, plus events that
-// schedule further events from inside their callbacks), each script is
-// applied in lockstep to two Simulators — one per SchedulerImpl — and every
-// observable is compared: the full (tag, fire-time) log byte for byte, the
-// virtual clock, pending/processed counts, per-handle IsPending, and the
-// sim.timer_* instruments. Any divergence in firing order, tie-breaking, or
-// cancellation semantics between the implementations fails here first.
+// op scripts (schedule / cancel / reschedule / advance / stop from inside a
+// callback, plus events that schedule further events from inside their
+// callbacks), each script is applied in lockstep to the Simulator and the
+// map oracle, and every observable is compared: the full (tag, fire-time)
+// log byte for byte, the virtual clock (which must never run backwards),
+// pending/processed counts, per-handle IsPending, and the sim.timer_*
+// instruments. Any divergence in firing order, tie-breaking, cancellation,
+// or stop semantics fails here first.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -57,16 +60,71 @@ Duration DelayFromDraw(std::uint64_t draw) {
   }
 }
 
-// One simulator plus everything observable about it.
+// The reference scheduler. It mirrors Simulator's contract — deadlines
+// clamped to Now(), FIFO ties, Stop(), RunUntil's clock rule — and counts
+// what the harness compares with the sim.timer_* instruments.
+class MapOracle {
+ public:
+  TimePoint Now() const { return now_; }
+  EventId Schedule(Duration delay, EventFn fn) {
+    queue_.emplace(Key{std::max(now_ + delay, now_).ns(), ++last_id_}, std::move(fn));
+    ++schedules;
+    pending_peak = std::max(pending_peak, queue_.size());
+    return last_id_;
+  }
+  void Cancel(EventId id) {
+    const auto it = Find(id);
+    if (it == queue_.end()) return;
+    queue_.erase(it);
+    ++cancels;
+  }
+  bool IsPending(EventId id) const { return Find(id) != queue_.end(); }
+  void Stop() { stopped_ = true; }
+  void Run() { Drain(TimePoint::Max()); }
+  void RunFor(Duration d) {
+    const TimePoint t = now_ + d;
+    Drain(t);
+    if (!stopped_ && now_ < t) now_ = t;
+  }
+  std::size_t pending_events() const { return queue_.size(); }
+  std::size_t events_processed() const { return fires; }
+
+  std::uint64_t schedules = 0, cancels = 0, fires = 0;
+  std::size_t pending_peak = 0;
+
+ private:
+  using Key = std::pair<std::int64_t, EventId>;  // (deadline, FIFO id)
+  std::map<Key, EventFn>::const_iterator Find(EventId id) const {
+    return std::find_if(queue_.begin(), queue_.end(),
+                        [id](const auto& e) { return e.first.second == id; });
+  }
+  void Drain(TimePoint horizon) {
+    stopped_ = false;
+    while (!stopped_ && !queue_.empty() && queue_.begin()->first.first <= horizon.ns()) {
+      auto node = queue_.extract(queue_.begin());
+      now_ = TimePoint::FromNanos(node.key().first);
+      ++fires;
+      node.mapped()();
+    }
+  }
+  std::map<Key, EventFn> queue_;
+  TimePoint now_;
+  EventId last_id_ = 0;
+  bool stopped_ = false;
+};
+
+// One scheduler plus everything observable about it.
+template <typename Sched>
 struct Driver {
-  explicit Driver(SchedulerImpl impl) : sim(impl) {}
-  Simulator sim;
+  Sched sim;
   std::vector<EventId> handles;
   std::vector<std::pair<int, std::int64_t>> log;  // (tag, fire time ns)
 
-  void ScheduleTagged(int tag, Duration delay) {
-    handles.push_back(sim.Schedule(delay, [this, tag] {
+  // `stop`: the callback also calls Stop(), ending the run it fires in.
+  void ScheduleTagged(int tag, Duration delay, bool stop = false) {
+    handles.push_back(sim.Schedule(delay, [this, tag, stop] {
       log.emplace_back(tag, sim.Now().ns());
+      if (stop) sim.Stop();
       // Every third event schedules a child from inside its callback, with
       // a tag-derived delay: events-scheduling-events must stay in lockstep.
       if (tag % 3 == 0) {
@@ -78,91 +136,99 @@ struct Driver {
   }
 };
 
-// Applies the same seeded op script to both implementations and compares
-// every observable. Returns false (with gtest failures recorded) on the
-// first divergence.
+// Compares every observable the oracle and the Simulator share.
+void ExpectSame(Driver<MapOracle>& ref, Driver<Simulator>& wheel, std::uint64_t seed) {
+  ASSERT_EQ(ref.log, wheel.log) << "firing order diverged, seed " << seed;
+  ASSERT_TRUE(std::is_sorted(wheel.log.begin(), wheel.log.end(),
+                             [](const auto& a, const auto& b) { return a.second < b.second; }))
+      << "fire times ran backwards, seed " << seed;
+  ASSERT_EQ(ref.sim.Now(), wheel.sim.Now()) << "seed " << seed;
+  ASSERT_EQ(ref.sim.pending_events(), wheel.sim.pending_events()) << "seed " << seed;
+  ASSERT_EQ(ref.sim.events_processed(), wheel.sim.events_processed()) << "seed " << seed;
+  MetricsRegistry& m = wheel.sim.metrics();
+  ASSERT_EQ(ref.sim.schedules, m.counter("sim.timer_schedules").value()) << "seed " << seed;
+  ASSERT_EQ(ref.sim.cancels, m.counter("sim.timer_cancels").value()) << "seed " << seed;
+  ASSERT_EQ(ref.sim.fires, m.counter("sim.timer_fires").value()) << "seed " << seed;
+  ASSERT_EQ(static_cast<std::int64_t>(ref.sim.pending_peak),
+            m.gauge("sim.timer_pending_peak").value())
+      << "seed " << seed;
+}
+
+// Applies one seeded op script to the oracle and the Simulator in lockstep
+// and compares every observable; gtest failures mark the first divergence.
 void RunScript(std::uint64_t seed, int ops) {
-  Driver heap(SchedulerImpl::kHeap);
-  Driver wheel(SchedulerImpl::kWheel);
+  Driver<MapOracle> ref;
+  Driver<Simulator> wheel;
   Rng rng(seed);
   int next_tag = 0;
+  TimePoint last_now;
 
   for (int op = 0; op < ops; ++op) {
-    switch (rng.Below(10)) {
+    const std::uint64_t kind = rng.Below(11);
+    switch (kind) {
       case 0:
       case 1:
       case 2:
-      case 3: {  // schedule
+      case 3:    // schedule
+      case 7: {  // schedule an event that calls Stop() when it fires
         const int tag = next_tag++;
         const Duration d = DelayFromDraw(rng.Next());
-        heap.ScheduleTagged(tag, d);
-        wheel.ScheduleTagged(tag, d);
+        ref.ScheduleTagged(tag, d, kind == 7);
+        wheel.ScheduleTagged(tag, d, kind == 7);
         break;
       }
       case 4:
       case 5: {  // cancel a random handle (may already be fired: no-op)
-        if (heap.handles.empty()) break;
-        const std::size_t i = rng.Below(heap.handles.size());
-        ASSERT_EQ(heap.sim.IsPending(heap.handles[i]),
-                  wheel.sim.IsPending(wheel.handles[i]))
+        if (ref.handles.empty()) break;
+        const std::size_t i = rng.Below(ref.handles.size());
+        ASSERT_EQ(ref.sim.IsPending(ref.handles[i]), wheel.sim.IsPending(wheel.handles[i]))
             << "seed " << seed << " op " << op;
-        heap.sim.Cancel(heap.handles[i]);
+        ref.sim.Cancel(ref.handles[i]);
         wheel.sim.Cancel(wheel.handles[i]);
         break;
       }
       case 6: {  // reschedule: cancel + re-arm under a fresh deadline
-        if (heap.handles.empty()) break;
-        const std::size_t i = rng.Below(heap.handles.size());
-        heap.sim.Cancel(heap.handles[i]);
+        if (ref.handles.empty()) break;
+        const std::size_t i = rng.Below(ref.handles.size());
+        ref.sim.Cancel(ref.handles[i]);
         wheel.sim.Cancel(wheel.handles[i]);
         const int tag = next_tag++;
         const Duration d = DelayFromDraw(rng.Next());
-        heap.ScheduleTagged(tag, d);
+        ref.ScheduleTagged(tag, d);
         wheel.ScheduleTagged(tag, d);
         break;
       }
       default: {  // advance
         const Duration d = DelayFromDraw(rng.Next());
-        heap.sim.RunFor(d);
+        ref.sim.RunFor(d);
         wheel.sim.RunFor(d);
-        ASSERT_EQ(heap.sim.Now(), wheel.sim.Now()) << "seed " << seed;
+        ASSERT_EQ(ref.sim.Now(), wheel.sim.Now()) << "seed " << seed << " op " << op;
         break;
       }
     }
-    ASSERT_EQ(heap.sim.pending_events(), wheel.sim.pending_events())
+    ASSERT_GE(wheel.sim.Now(), last_now) << "clock ran backwards, seed " << seed << " op " << op;
+    last_now = wheel.sim.Now();
+    ASSERT_EQ(ref.sim.pending_events(), wheel.sim.pending_events())
         << "seed " << seed << " op " << op;
   }
 
-  // Drain both, then compare every observable.
-  heap.sim.Run();
-  wheel.sim.Run();
-  ASSERT_EQ(heap.log, wheel.log) << "firing order diverged, seed " << seed;
-  ASSERT_EQ(heap.sim.Now(), wheel.sim.Now()) << "seed " << seed;
-  ASSERT_EQ(heap.sim.pending_events(), 0u) << "seed " << seed;
-  ASSERT_EQ(wheel.sim.pending_events(), 0u) << "seed " << seed;
-  ASSERT_EQ(heap.sim.events_processed(), wheel.sim.events_processed())
-      << "seed " << seed;
-
-  // Scheduler instruments agree (cascades/compactions are impl-specific).
-  for (const char* name :
-       {"sim.timer_schedules", "sim.timer_cancels", "sim.timer_fires"}) {
-    ASSERT_EQ(heap.sim.metrics().counter(name).value(),
-              wheel.sim.metrics().counter(name).value())
-        << name << ", seed " << seed;
+  // Drain both; each stopping event ends one Run() early.
+  for (int i = 0; i <= ops && wheel.sim.pending_events() > 0; ++i) {
+    ref.sim.Run();
+    wheel.sim.Run();
   }
-  ASSERT_EQ(heap.sim.metrics().gauge("sim.timer_pending_peak").value(),
-            wheel.sim.metrics().gauge("sim.timer_pending_peak").value())
-      << "seed " << seed;
+  ASSERT_EQ(wheel.sim.pending_events(), 0u) << "seed " << seed;
+  ASSERT_NO_FATAL_FAILURE(ExpectSame(ref, wheel, seed));
 
   // Cancel-after-fire safety: every handle is long dead; Cancel must be a
   // no-op on both sides and IsPending must agree (false).
-  for (std::size_t i = 0; i < heap.handles.size(); ++i) {
-    ASSERT_FALSE(heap.sim.IsPending(heap.handles[i])) << "seed " << seed;
+  for (std::size_t i = 0; i < ref.handles.size(); ++i) {
+    ASSERT_FALSE(ref.sim.IsPending(ref.handles[i])) << "seed " << seed;
     ASSERT_FALSE(wheel.sim.IsPending(wheel.handles[i])) << "seed " << seed;
-    heap.sim.Cancel(heap.handles[i]);
+    ref.sim.Cancel(ref.handles[i]);
     wheel.sim.Cancel(wheel.handles[i]);
   }
-  ASSERT_EQ(heap.sim.pending_events(), wheel.sim.pending_events());
+  ASSERT_NO_FATAL_FAILURE(ExpectSame(ref, wheel, seed));
 }
 
 TEST(SchedulerEquivalence, RandomizedScriptsAgreeByteForByte) {
@@ -177,17 +243,17 @@ TEST(SchedulerEquivalence, RandomizedScriptsAgreeByteForByte) {
 TEST(SchedulerEquivalence, DenseTieStorm) {
   // Many events on few distinct instants: tie-breaking is the whole test.
   for (std::uint64_t seed = 2000; seed < 2050; ++seed) {
-    Driver heap(SchedulerImpl::kHeap);
-    Driver wheel(SchedulerImpl::kWheel);
+    Driver<MapOracle> ref;
+    Driver<Simulator> wheel;
     Rng rng(seed);
     for (int i = 0; i < 400; ++i) {
       const Duration d = Duration::Micros(static_cast<std::int64_t>(rng.Below(4)));
-      heap.ScheduleTagged(i, d);
+      ref.ScheduleTagged(i, d);
       wheel.ScheduleTagged(i, d);
     }
-    heap.sim.Run();
+    ref.sim.Run();
     wheel.sim.Run();
-    ASSERT_EQ(heap.log, wheel.log) << "seed " << seed;
+    ASSERT_NO_FATAL_FAILURE(ExpectSame(ref, wheel, seed));
   }
 }
 
