@@ -35,9 +35,6 @@ EthernetManager::EthernetManager(PlexusHost& plexus, proto::EthLayer& eth)
                            [](const net::Mbuf&, const net::EthernetHeader& hdr) {
                              return std::optional<std::uint64_t>(hdr.type.value());
                            });
-  eth_.SetUpcall([this](net::MbufPtr frame, const net::EthernetHeader& hdr) {
-    OnFrame(std::move(frame), hdr);
-  });
 }
 
 // The driver-edge hop: the only sheddable raise in the graph (nothing has
@@ -126,8 +123,8 @@ void EthernetManager::Output(net::MbufPtr payload, net::MacAddress dst,
 
 // --- IpManager ---------------------------------------------------------------
 
-IpManager::IpManager(PlexusHost& plexus, proto::Ipv4Layer& ip, proto::ArpService& arp)
-    : plexus_(plexus), ip_(ip), arp_(arp), packet_recv_("Ip.PacketRecv", &plexus.dispatcher()) {
+IpManager::IpManager(PlexusHost& plexus, proto::Ipv4Layer& ip)
+    : plexus_(plexus), ip_(ip), packet_recv_("Ip.PacketRecv", &plexus.dispatcher()) {
   packet_recv_.set_requires_ephemeral(plexus.requires_ephemeral());
   // Ip.PacketRecv demultiplexes on the IP protocol number.
   packet_recv_.SetDemuxKey("ip.protocol", [](const net::Mbuf&, const net::Ipv4Header& hdr) {
@@ -254,15 +251,10 @@ UdpManager::UdpManager(PlexusHost& plexus, proto::UdpLayer& udp)
                            });
   udp_.SetDefaultReceiver([this](net::MbufPtr payload, const proto::UdpDatagram& info) {
     plexus_.GraphHop([this, ref = std::move(payload), info] {
-      if (packet_recv_.Raise(*ref, info) == 0 && !info.dst_ip.IsBroadcast() &&
-          !info.dst_ip.IsMulticast()) {
-        // Nobody claimed the datagram: answer with ICMP port unreachable.
+      // Nobody claimed the datagram: answer with ICMP port unreachable.
+      if (packet_recv_.Raise(*ref, info) == 0 &&
+          plexus_.icmp().SendPortUnreachable(info.src_ip, info.dst_ip)) {
         ++stats_.unreachable_sent;
-        net::Ipv4Header offending;
-        offending.protocol = net::ipproto::kUdp;
-        offending.src = info.src_ip;
-        offending.dst = info.dst_ip;
-        plexus_.icmp().SendError(offending, net::icmptype::kDestUnreachable, /*code=*/3);
       }
     });
   });
@@ -278,104 +270,7 @@ spin::Result<std::shared_ptr<UdpEndpoint>> UdpManager::CreateEndpoint(std::uint1
 // --- PlexusTcpEndpoint / TcpManager --------------------------------------------
 
 PlexusTcpEndpoint::PlexusTcpEndpoint(PlexusHost& plexus, proto::TcpEndpoints ep)
-    : plexus_(plexus) {
-  proto::TcpConnection::Callbacks cbs;
-  cbs.send_segment = [this](net::MbufPtr segment, net::Ipv4Address src, net::Ipv4Address dst) {
-    plexus_.ip().Output(std::move(segment), dst, net::ipproto::kTcp, src);
-  };
-  cbs.on_established = [this] {
-    if (on_established_) on_established_();
-  };
-  cbs.on_data = [this](std::span<const std::byte> data) {
-    if (on_data_) {
-      on_data_(data);
-    } else {
-      pre_data_.insert(pre_data_.end(), data.begin(), data.end());
-    }
-  };
-  cbs.on_send_ready = [this] { FlushPending(); };
-  cbs.on_remote_close = [this] {
-    // EOF from the peer: stream-level close (HTTP-style close-delimited
-    // bodies rely on this).
-    if (!close_delivered_) {
-      close_delivered_ = true;
-      if (on_close_) on_close_();
-    }
-  };
-  cbs.on_closed = [this] {
-    if (registered_) {
-      plexus_.tcp().demux().Unregister(conn_->endpoints());
-      registered_ = false;
-    }
-    if (!close_delivered_) {
-      close_delivered_ = true;
-      if (on_close_) on_close_();
-    }
-  };
-  cbs.on_reset = [this](const std::string&) {
-    // on_closed fires separately; nothing extra needed here.
-  };
-  cbs.on_error = [this](proto::TcpError err) {
-    if (!on_error_) return;
-    on_error_(err == proto::TcpError::kTimedOut ? proto::StreamError::kTimedOut
-                                                : proto::StreamError::kReset);
-  };
-  conn_ = std::make_unique<proto::TcpConnection>(plexus_.host(), plexus_.tcp().config(), ep,
-                                                 std::move(cbs));
-}
-
-void PlexusTcpEndpoint::Detach() {
-  // The host under us lost power. No demux unregister (the demux is being
-  // destroyed), no callbacks (dead machines don't notify their apps) — the
-  // connection just vanishes, releasing its timers and buffers.
-  registered_ = false;
-  conn_->Vanish();
-}
-
-PlexusTcpEndpoint::~PlexusTcpEndpoint() {
-  if (registered_) plexus_.tcp().demux().Unregister(conn_->endpoints());
-}
-
-std::size_t PlexusTcpEndpoint::Write(std::span<const std::byte> data) {
-  pending_.insert(pending_.end(), data.begin(), data.end());
-  FlushPending();
-  return data.size();
-}
-
-void PlexusTcpEndpoint::FlushPending() {
-  while (!pending_.empty()) {
-    std::vector<std::byte> chunk(
-        pending_.begin(),
-        pending_.begin() + static_cast<std::ptrdiff_t>(
-                               std::min<std::size_t>(pending_.size(), 16 * 1024)));
-    const std::size_t accepted = conn_->Send(chunk);
-    pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(accepted));
-    if (accepted < chunk.size()) break;
-  }
-  if (close_after_flush_ && pending_.empty()) {
-    close_after_flush_ = false;
-    conn_->Close();
-  }
-}
-
-void PlexusTcpEndpoint::SetOnData(std::function<void(std::span<const std::byte>)> cb) {
-  on_data_ = std::move(cb);
-  if (on_data_ && !pre_data_.empty()) {
-    std::vector<std::byte> stashed;
-    stashed.swap(pre_data_);
-    on_data_(stashed);
-  }
-}
-
-void PlexusTcpEndpoint::SetOnClose(std::function<void()> cb) { on_close_ = std::move(cb); }
-
-void PlexusTcpEndpoint::CloseStream() {
-  if (pending_.empty()) {
-    conn_->Close();
-  } else {
-    close_after_flush_ = true;
-  }
-}
+    : TcpStream(plexus, plexus.tcp().demux(), plexus.tcp().config(), ep) {}
 
 TcpManager::TcpManager(PlexusHost& plexus, proto::TcpConfig config)
     : plexus_(plexus), config_(config), packet_recv_("Tcp.PacketRecv", &plexus.dispatcher()) {
@@ -437,26 +332,9 @@ TcpManager::TcpManager(PlexusHost& plexus, proto::TcpConfig config)
   // RSTs for segments addressed to no connection/listener.
   demux_.SetRstSender([this](const net::TcpHeader& hdr, net::Ipv4Address src,
                              net::Ipv4Address dst, std::size_t payload_len) {
-    net::TcpHeader rst;
-    rst.src_port = hdr.dst_port;
-    rst.dst_port = hdr.src_port;
-    rst.flags = net::tcpflag::kRst;
-    if (hdr.flags & net::tcpflag::kAck) {
-      rst.seq = hdr.ack;
-    } else {
-      rst.flags |= net::tcpflag::kAck;
-      const std::uint32_t syn_fin = ((hdr.flags & net::tcpflag::kSyn) ? 1u : 0u) +
-                                    ((hdr.flags & net::tcpflag::kFin) ? 1u : 0u);
-      rst.ack = hdr.seq.value() + static_cast<std::uint32_t>(payload_len) + syn_fin;
+    if (auto rst = proto::MakeRst(plexus_.host().mbuf_pool(), hdr, src, dst, payload_len)) {
+      plexus_.ip().Output(std::move(rst), src, net::ipproto::kTcp, dst);
     }
-    rst.window = 0;
-    rst.checksum = 0;
-    auto m = net::PoolAllocate(plexus_.host().mbuf_pool(), sizeof(rst));
-    if (m == nullptr) return;  // pool dry: RSTs are best-effort
-    net::StorePacket(*m, rst);
-    rst.checksum = proto::TransportChecksum(dst, src, net::ipproto::kTcp, *m);
-    net::StorePacket(*m, rst);
-    plexus_.ip().Output(std::move(m), src, net::ipproto::kTcp, dst);
   });
 
   // Hostile-traffic hardening hooks: a clock/rng/metrics home for the
@@ -472,17 +350,14 @@ TcpManager::TcpManager(PlexusHost& plexus, proto::TcpConfig config)
     hdr.dst_port = ep.remote_port;
     hdr.seq = iss;
     hdr.ack = ack;
-    hdr.set_header_length(sizeof(hdr) + 4);
+    hdr.set_header_length(sizeof(hdr) + proto::kMssOptionLen);
     hdr.flags = net::tcpflag::kSyn | net::tcpflag::kAck;
     hdr.window = static_cast<std::uint16_t>(std::min<std::size_t>(config_.recv_window, 65535));
     hdr.checksum = 0;
-    auto m = net::PoolAllocate(plexus_.host().mbuf_pool(), sizeof(hdr) + 4);
+    auto m = net::PoolAllocate(plexus_.host().mbuf_pool(), sizeof(hdr) + proto::kMssOptionLen);
     if (m == nullptr) return;  // pool dry: the peer retransmits its SYN
     net::StorePacket(*m, hdr);
-    const std::byte opt[4] = {std::byte{2}, std::byte{4},
-                              static_cast<std::byte>(config_.mss >> 8),
-                              static_cast<std::byte>(config_.mss & 0xff)};
-    m->CopyIn(sizeof(hdr), opt);
+    proto::WriteMssOption(*m, config_.mss);
     plexus_.host().Charge(plexus_.host().costs().tcp_output);
     plexus_.host().Charge(plexus_.host().costs().checksum_per_byte *
                           static_cast<std::int64_t>(m->PacketLength()));
@@ -578,8 +453,7 @@ TcpManager::~TcpManager() {
 }
 
 void TcpManager::WireConnection(const std::shared_ptr<PlexusTcpEndpoint>& ep) {
-  demux_.Register(&ep->connection());
-  ep->registered_ = true;
+  ep->Register();
   wired_.push_back(ep);
 }
 
@@ -657,82 +531,24 @@ std::vector<std::shared_ptr<PlexusTcpEndpoint>> TcpManager::LiveEndpoints() cons
 
 // --- PlexusHost ----------------------------------------------------------------
 
-PlexusHost::Iface PlexusHost::MakeIface(drivers::DeviceProfile profile, NetConfig cfg) {
-  Iface iface;
-  iface.nic = std::make_unique<drivers::Nic>(host_, std::move(profile), cfg.mac);
-  iface.eth = std::make_unique<proto::EthLayer>(host_, *iface.nic);
-  iface.arp = std::make_unique<proto::ArpService>(host_, *iface.eth, cfg.ip);
-  iface.cfg = cfg;
-  // ifaces_ may not contain this entry yet: the caller pushes it next.
-  rcvif_to_if_index_[iface.nic->index()] = static_cast<int>(rcvif_to_if_index_.size());
-  return iface;
-}
-
-int PlexusHost::IfIndexForRcvif(int rcvif) const {
-  auto it = rcvif_to_if_index_.find(rcvif);
-  return it == rcvif_to_if_index_.end() ? 0 : it->second;
-}
-
-int PlexusHost::AddNic(drivers::DeviceProfile profile, NetConfig cfg) {
-  const std::size_t mtu = profile.mtu;
-  ifaces_.push_back(MakeIface(std::move(profile), cfg));
-  const int if_index = static_cast<int>(ifaces_.size()) - 1;
-  ip_layer_->AddInterface(if_index,
-                          proto::Ipv4Layer::Interface{cfg.ip, cfg.prefix_len, mtu});
-  // Frames from the new NIC feed the same Ethernet.PacketRecv event; the
-  // receive interface travels in the packet header.
-  ifaces_.back().eth->SetUpcall(
-      [this](net::MbufPtr frame, const net::EthernetHeader& hdr) {
-        eth_mgr_->OnFrame(std::move(frame), hdr);
-      });
-  WireBatchHooks(*ifaces_.back().eth);
-  return if_index;
-}
-
-void PlexusHost::TransmitIp(net::MbufPtr packet, net::Ipv4Address next_hop, int if_index) {
-  if (if_index < 0 || if_index >= static_cast<int>(ifaces_.size())) return;
-  Iface& iface = ifaces_[static_cast<std::size_t>(if_index)];
-  // The move-only callback parks the packet itself while resolution is
-  // pending; on the (dominant) cache-hit path it is invoked synchronously
-  // and the buffer flows straight to the wire — no shared_ptr, no clone.
-  iface.arp->Resolve(
-      next_hop,
-      [&iface, pkt = std::move(packet)](std::optional<net::MacAddress> mac) mutable {
-        if (!mac) return;  // unresolvable; drop
-        iface.eth->Output(std::move(pkt), *mac, net::ethertype::kIpv4);
-      });
-}
-
-std::vector<PlexusHost::Iface> PlexusHost::MakeInitialIfaces(
-    const drivers::DeviceProfile& profile, NetConfig cfg) {
-  std::vector<Iface> out;
-  out.push_back(MakeIface(profile, cfg));
-  return out;
-}
-
 PlexusHost::PlexusHost(sim::Simulator& s, std::string name, sim::CostModel costs,
                        drivers::DeviceProfile profile, NetConfig net_config, HandlerMode mode,
                        std::uint64_t seed)
-    : host_(s, std::move(name), costs, seed),
-      mbuf_pool_(std::make_unique<net::MbufPool>(net::MbufPool::DefaultCapacity())),
+    : HostStack(s, std::move(name), costs, std::move(profile), net_config, seed),
       deferred_(host_),
       dispatcher_(&host_),
       linker_(&host_),
-      net_config_(net_config),
-      mode_(mode),
-      ifaces_(MakeInitialIfaces(profile, net_config)),
-      ip_layer_(std::make_unique<proto::Ipv4Layer>(
-          host_,
-          proto::Ipv4Layer::Config{net_config.ip, net_config.prefix_len, profile.mtu})),
-      icmp_(std::make_unique<proto::IcmpLayer>(host_, *ip_layer_)),
-      udp_layer_(std::make_unique<proto::UdpLayer>(host_, *ip_layer_)),
-      am_(std::make_unique<proto::ActiveMessageEndpoint>(host_, *ifaces_[0].eth)) {
-  WireMbufPool();
-  eth_mgr_ = std::make_unique<EthernetManager>(*this, *ifaces_[0].eth);
-  ip_mgr_ = std::make_unique<IpManager>(*this, *ip_layer_, *ifaces_[0].arp);
-  udp_mgr_ = std::make_unique<UdpManager>(*this, *udp_layer_);
-  tcp_mgr_ = std::make_unique<TcpManager>(*this, proto::TcpConfig{});
-  WireGraph();
+      mode_(mode) {
+  // Frames from every NIC feed the one Ethernet.PacketRecv event (the
+  // receive interface travels in the packet header), and every NIC's rx
+  // bursts open this host's batch scope, so a burst from any NIC coalesces
+  // its graph hops.
+  SetFrameHandlers(
+      [this](net::MbufPtr frame, const net::EthernetHeader& hdr) {
+        eth_mgr_->OnFrame(std::move(frame), hdr);
+      },
+      [this](std::size_t) { OpenBatchScope(); }, [this] { CloseBatchScope(/*sheddable=*/true); });
+  BuildGraph();
 
   // Protection domains. The kernel domain exports everything; applications
   // are linked against a domain that only lets them create endpoints and
@@ -741,6 +557,15 @@ PlexusHost::PlexusHost(sim::Simulator& s, std::string name, sim::CostModel costs
   kernel_domain_ = spin::Domain::Create(host_.name() + ".kernel");
   app_domain_ = spin::Domain::Create(host_.name() + ".app");
   ExportDomainSymbols();
+}
+
+void PlexusHost::BuildGraph() {
+  am_ = std::make_unique<proto::ActiveMessageEndpoint>(host_, eth_layer(0));
+  eth_mgr_ = std::make_unique<EthernetManager>(*this, eth_layer(0));
+  ip_mgr_ = std::make_unique<IpManager>(*this, ip_layer());
+  udp_mgr_ = std::make_unique<UdpManager>(*this, udp_layer());
+  tcp_mgr_ = std::make_unique<TcpManager>(*this, proto::TcpConfig{});
+  WireGraph();
 }
 
 // Export (or re-export after a restart: Domain::Export overwrites) the
@@ -814,15 +639,16 @@ std::string PlexusHost::SnapshotTelemetry(std::size_t tracer_tail) {
   out += ",\"metrics\":" + host_.metrics().ToJson();
   out += ",\"sim_metrics\":" + sim.metrics().ToJson();
 
-  out += ",\"mbuf_pool\":{\"capacity\":" + std::to_string(mbuf_pool_->capacity()) +
-         ",\"in_use\":" + std::to_string(mbuf_pool_->in_use()) +
-         ",\"peak\":" + std::to_string(mbuf_pool_->peak_in_use()) +
-         ",\"total_allocated\":" + std::to_string(mbuf_pool_->total_allocated()) +
-         ",\"exhaustions\":" + std::to_string(mbuf_pool_->exhaustions()) + "}";
+  const net::MbufPool& pool = mbuf_pool();
+  out += ",\"mbuf_pool\":{\"capacity\":" + std::to_string(pool.capacity()) +
+         ",\"in_use\":" + std::to_string(pool.in_use()) +
+         ",\"peak\":" + std::to_string(pool.peak_in_use()) +
+         ",\"total_allocated\":" + std::to_string(pool.total_allocated()) +
+         ",\"exhaustions\":" + std::to_string(pool.exhaustions()) + "}";
 
   out += ",\"nics\":[";
-  for (std::size_t i = 0; i < ifaces_.size(); ++i) {
-    const drivers::Nic& n = *ifaces_[i].nic;
+  for (std::size_t i = 0; i < interface_count(); ++i) {
+    const drivers::Nic& n = nic(static_cast<int>(i));
     const drivers::Nic::Stats s = n.stats();
     out += i == 0 ? "{" : ",{";
     out += "\"prefix\":\"" + FlightJsonEscape(n.metrics_prefix()) + "\"";
@@ -950,11 +776,6 @@ void PlexusHost::AddBatchFlush(std::function<void(bool)> flush,
   batch_flushes_.push_back(BatchFlushEntry{std::move(flush), std::move(count)});
 }
 
-void PlexusHost::WireBatchHooks(proto::EthLayer& eth) {
-  eth.SetBatchHooks([this](std::size_t) { OpenBatchScope(); },
-                    [this] { CloseBatchScope(/*sheddable=*/true); });
-}
-
 void PlexusHost::OpenBatchScope() { batch_active_ = true; }
 
 // Closes the scope and moves its parked work into one coalesced hop. Each
@@ -1009,29 +830,7 @@ void PlexusHost::CloseBatchScope(bool sheddable) {
   });
 }
 
-void PlexusHost::WireMbufPool() {
-  host_.set_mbuf_pool(mbuf_pool_.get());
-  auto& in_use = host_.metrics().gauge("mbuf.pool_in_use");
-  auto& peak = host_.metrics().gauge("mbuf.pool_peak");
-  auto& exhausted = host_.metrics().counter("mbuf.pool_exhausted");
-  mbuf_pool_->SetOccupancyGauges(in_use.slot(), peak.slot());
-  mbuf_pool_->SetExhaustionHook([&exhausted] { exhausted.Inc(); });
-}
-
-void PlexusHost::SetMbufPoolCapacity(std::size_t segments) {
-  // Swap in a fresh pool; buffers from the old one stay valid and retire
-  // against its (now hook-less) books.
-  mbuf_pool_ = std::make_unique<net::MbufPool>(segments);
-  WireMbufPool();
-}
-
 void PlexusHost::WireGraph() {
-  const bool eph = requires_ephemeral();
-
-  // Every attachment point brackets its rx bursts with this host's batch
-  // scope, so a burst from any NIC coalesces its graph hops.
-  for (Iface& iface : ifaces_) WireBatchHooks(*iface.eth);
-
   // --- Ethernet level: ARP, IP, active messages -----------------------------
   // Kernel handlers dispatch on one EtherType each: installed behind the
   // demux index (keyed, no residual guard), so the device interrupt path
@@ -1045,8 +844,7 @@ void PlexusHost::WireGraph() {
           auto payload = frame.ShareClone();
           payload->TrimFront(sizeof(net::EthernetHeader));
           // Route the ARP packet to the service owning the receive interface.
-          const int if_index = IfIndexForRcvif(frame.pkthdr().rcvif);
-          ifaces_[static_cast<std::size_t>(if_index)].arp->Input(std::move(payload));
+          arp(IfIndexForRcvif(frame.pkthdr().rcvif)).Input(std::move(payload));
         },
         net::ethertype::kArp, nullptr, opts);
     assert(r.ok());
@@ -1060,7 +858,7 @@ void PlexusHost::WireGraph() {
         [this](const net::Mbuf& frame, const net::EthernetHeader&) {
           auto packet = frame.ShareClone();
           packet->TrimFront(sizeof(net::EthernetHeader));
-          ip_layer_->Input(std::move(packet));
+          ip_layer().Input(std::move(packet));
         },
         net::ethertype::kIpv4, nullptr, opts);
     assert(r.ok());
@@ -1078,10 +876,7 @@ void PlexusHost::WireGraph() {
   }
 
   // --- IP glue ---------------------------------------------------------------
-  ip_layer_->SetTransmit([this](net::MbufPtr packet, net::Ipv4Address next_hop, int if_index) {
-    TransmitIp(std::move(packet), next_hop, if_index);
-  });
-  ip_layer_->SetDeliver([this](net::MbufPtr payload, const net::Ipv4Header& hdr) {
+  ip_layer().SetDeliver([this](net::MbufPtr payload, const net::Ipv4Header& hdr) {
     if (batch_active_) {
       ip_mgr_->EnqueueBatched(std::move(payload), hdr);
       return;
@@ -1090,8 +885,6 @@ void PlexusHost::WireGraph() {
       ip_mgr_->packet_recv().Raise(*ref, hdr);
     });
   });
-  ip_layer_->SetIcmpNotify([this](const net::Ipv4Header& hdr, std::uint8_t type,
-                                  std::uint8_t code) { icmp_->SendError(hdr, type, code); });
 
   // --- IP level: ICMP, UDP, TCP ----------------------------------------------
   // Same scheme one layer up: each kernel transport claims its protocol
@@ -1102,7 +895,7 @@ void PlexusHost::WireGraph() {
     opts.name = "icmp-input";
     auto r = ip_mgr_->packet_recv().InstallKeyed(
         [this](const net::Mbuf& payload, const net::Ipv4Header& hdr) {
-          icmp_->Input(payload.ShareClone(), hdr.src);
+          icmp().Input(payload.ShareClone(), hdr.src);
         },
         net::ipproto::kIcmp, nullptr, opts);
     assert(r.ok());
@@ -1114,7 +907,7 @@ void PlexusHost::WireGraph() {
     opts.name = "udp-input";
     auto r = ip_mgr_->packet_recv().InstallKeyed(
         [this](const net::Mbuf& payload, const net::Ipv4Header& hdr) {
-          udp_layer_->Input(payload.ShareClone(), hdr.src, hdr.dst);
+          udp_layer().Input(payload.ShareClone(), hdr.src, hdr.dst);
         },
         net::ipproto::kUdp, nullptr, opts);
     assert(r.ok());
@@ -1138,7 +931,6 @@ void PlexusHost::WireGraph() {
     assert(r.ok());
     (void)r;
   }
-  (void)eph;
 }
 
 // --- crash / cold restart ------------------------------------------------------
@@ -1151,11 +943,6 @@ void PlexusHost::Crash() {
   crashes_->Inc();
   host_.TraceInstant("host.crash", "chaos");
 
-  // Routing is configuration, not volatile protocol state: remember it so
-  // the reboot comes back with the same view of the topology.
-  saved_routes_ = ip_layer_->routes();
-  saved_forwarding_ = ip_layer_->config().forwarding_enabled;
-
   // Teardown runs top-down in dependency order. The TCP manager first: its
   // destructor detaches every endpoint (connections Vanish — all timers
   // cancelled, no segments, no callbacks) while application-held
@@ -1165,16 +952,7 @@ void PlexusHost::Crash() {
   ip_mgr_.reset();
   eth_mgr_.reset();
   am_.reset();
-  udp_layer_.reset();
-  icmp_.reset();
-  ip_layer_.reset();  // dtor cancels reassembly timers
-  for (Iface& iface : ifaces_) {
-    iface.arp.reset();  // dtor cancels request timers
-    iface.nic->SetReceiveCallback(nullptr);
-    iface.nic->Reset();  // ring buffers return to the pool
-    iface.nic->set_powered(false);
-    iface.eth.reset();
-  }
+  CrashLowerHalf();
   // Queued work dies with the machine: dropping pending CPU tasks releases
   // any buffer references they captured, so the pool drains to zero — the
   // leak invariant the chaos harness checks.
@@ -1195,53 +973,11 @@ void PlexusHost::Restart(std::optional<net::MacAddress> new_mac) {
   restarts_->Inc();
   host_.TraceInstant("host.restart", "chaos");
 
-  if (new_mac) {
-    // The machine came back with a swapped adapter: peers holding the old
-    // MAC in their ARP caches reach nobody until the entry expires.
-    ifaces_[0].cfg.mac = *new_mac;
-    net_config_.mac = *new_mac;
-  }
-
-  // Power the NICs on and rebuild framing + neighbor resolution. The
-  // EthLayer constructor re-hooks the NIC receive callback.
-  for (Iface& iface : ifaces_) {
-    iface.nic->set_mac(iface.cfg.mac);
-    iface.nic->set_powered(true);
-    iface.eth = std::make_unique<proto::EthLayer>(host_, *iface.nic);
-    iface.arp = std::make_unique<proto::ArpService>(host_, *iface.eth, iface.cfg.ip);
-  }
-
-  // Fresh protocol layers; the saved routing configuration is restored.
-  ip_layer_ = std::make_unique<proto::Ipv4Layer>(
-      host_, proto::Ipv4Layer::Config{ifaces_[0].cfg.ip, ifaces_[0].cfg.prefix_len,
-                                      ifaces_[0].nic->profile().mtu});
-  ip_layer_->routes() = saved_routes_;
-  ip_layer_->set_forwarding(saved_forwarding_);
-  for (std::size_t i = 1; i < ifaces_.size(); ++i) {
-    ip_layer_->AddInterface(
-        static_cast<int>(i),
-        proto::Ipv4Layer::Interface{ifaces_[i].cfg.ip, ifaces_[i].cfg.prefix_len,
-                                    ifaces_[i].nic->profile().mtu});
-  }
-  icmp_ = std::make_unique<proto::IcmpLayer>(host_, *ip_layer_);
-  udp_layer_ = std::make_unique<proto::UdpLayer>(host_, *ip_layer_);
-  am_ = std::make_unique<proto::ActiveMessageEndpoint>(host_, *ifaces_[0].eth);
-
-  // Fresh managers and a freshly wired graph. A reborn TcpManager has an
-  // empty demux: stale segments from old peers hit no connection and draw
-  // RSTs — exactly how they learn about the restart. The EthernetManager
-  // constructor claims the primary interface's upcall; secondary interfaces
-  // are pointed back at it.
-  eth_mgr_ = std::make_unique<EthernetManager>(*this, *ifaces_[0].eth);
-  for (std::size_t i = 1; i < ifaces_.size(); ++i) {
-    ifaces_[i].eth->SetUpcall([this](net::MbufPtr frame, const net::EthernetHeader& hdr) {
-      eth_mgr_->OnFrame(std::move(frame), hdr);
-    });
-  }
-  ip_mgr_ = std::make_unique<IpManager>(*this, *ip_layer_, *ifaces_[0].arp);
-  udp_mgr_ = std::make_unique<UdpManager>(*this, *udp_layer_);
-  tcp_mgr_ = std::make_unique<TcpManager>(*this, proto::TcpConfig{});
-  WireGraph();
+  RestartLowerHalf(new_mac);
+  // A fresh graph. A reborn TcpManager has an empty demux: stale segments
+  // from old peers hit no connection and draw RSTs — exactly how they
+  // learn about the restart.
+  BuildGraph();
   ExportDomainSymbols();
 }
 

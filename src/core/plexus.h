@@ -31,12 +31,12 @@
 #define PLEXUS_CORE_PLEXUS_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,11 +51,13 @@
 #include "proto/arp.h"
 #include "proto/eth.h"
 #include "proto/gro.h"
+#include "proto/host_stack.h"
 #include "proto/http.h"
 #include "proto/icmp.h"
 #include "proto/ip.h"
 #include "proto/tcp.h"
 #include "proto/tcp_demux.h"
+#include "proto/tcp_stream.h"
 #include "proto/udp.h"
 #include "sim/host.h"
 #include "spin/deferred.h"
@@ -152,7 +154,7 @@ class EthernetManager {
 // Ip.PacketRecv. Owns the IP output right.
 class IpManager {
  public:
-  IpManager(PlexusHost& plexus, proto::Ipv4Layer& ip, proto::ArpService& arp);
+  IpManager(PlexusHost& plexus, proto::Ipv4Layer& ip);
 
   IpRecvEvent& packet_recv() { return packet_recv_; }
 
@@ -185,7 +187,6 @@ class IpManager {
 
   PlexusHost& plexus_;
   proto::Ipv4Layer& ip_;
-  proto::ArpService& arp_;
   IpRecvEvent packet_recv_;
   std::vector<std::pair<net::MbufPtr, net::Ipv4Header>> pending_;
 };
@@ -266,52 +267,21 @@ class UdpManager {
 };
 
 // A TCP connection exposed as a ByteStream (so HTTP and the examples run
-// unchanged on Plexus and the baseline).
-class PlexusTcpEndpoint : public proto::ByteStream {
+// unchanged on Plexus and the baseline). Both boundary crossings run
+// inline: a Plexus application is a kernel extension, so its calls enter
+// the stack with no trap or copyin, and received bytes reach it with no
+// wakeup or copyout.
+class PlexusTcpEndpoint : public proto::TcpStream {
  public:
-  ~PlexusTcpEndpoint() override;
-
-  std::size_t Write(std::span<const std::byte> data) override;
-  void SetOnData(std::function<void(std::span<const std::byte>)> cb) override;
-  void SetOnClose(std::function<void()> cb) override;
-  void SetOnError(std::function<void(proto::StreamError)> cb) override {
-    on_error_ = std::move(cb);
-  }
-  void CloseStream() override;
-
-  void SetOnEstablished(std::function<void()> cb) { on_established_ = std::move(cb); }
-  proto::TcpConnection& connection() { return *conn_; }
-  // getsockopt(TCP_INFO) equivalent: one coherent snapshot of the
-  // connection's congestion/RTT/loss state.
-  proto::TcpInfo Info() const { return conn_->info(); }
-  // Arms the per-flow cwnd/srtt/in-flight ring sampler on the connection.
-  void EnableTelemetry(sim::Duration min_interval, std::size_t capacity) {
-    conn_->EnableSampling(min_interval, capacity);
-  }
   // True until the host it lives on crashes out from under it.
-  bool attached() const { return registered_; }
+  bool attached() const { return registered(); }
 
  private:
   friend class TcpManager;
   PlexusTcpEndpoint(PlexusHost& plexus, proto::TcpEndpoints ep);
 
-  void FlushPending();
-  // Host crash: sever from the (dying) manager without callbacks. The
-  // connection vanishes power-fail style; the endpoint object survives only
-  // because the application may still hold a shared_ptr.
-  void Detach();
-
-  PlexusHost& plexus_;
-  std::unique_ptr<proto::TcpConnection> conn_;
-  std::function<void(std::span<const std::byte>)> on_data_;
-  std::function<void()> on_close_;
-  std::function<void(proto::StreamError)> on_error_;
-  std::function<void()> on_established_;
-  std::vector<std::byte> pre_data_;  // data arriving before SetOnData
-  std::deque<std::byte> pending_;    // writes awaiting TCP buffer space
-  bool registered_ = false;
-  bool close_after_flush_ = false;
-  bool close_delivered_ = false;
+  void ToKernel(std::span<const std::byte> bytes, Crossing work) override { work(bytes); }
+  void ToApp(std::span<const std::byte> bytes, Crossing work) override { work(bytes); }
 };
 
 class TcpManager {
@@ -401,51 +371,19 @@ class TcpManager {
 };
 
 // ---------------------------------------------------------------------------
-// PlexusHost: a workstation running SPIN + Plexus.
+// PlexusHost: a workstation running SPIN + Plexus — the protocol graph on
+// top of the shared proto::HostStack chassis.
 // ---------------------------------------------------------------------------
 
-class PlexusHost {
+class PlexusHost : public proto::HostStack {
  public:
-  struct NetConfig {
-    net::MacAddress mac;
-    net::Ipv4Address ip;
-    int prefix_len = 24;
-  };
-
   PlexusHost(sim::Simulator& s, std::string name, sim::CostModel costs,
              drivers::DeviceProfile profile, NetConfig net_config,
              HandlerMode mode = HandlerMode::kInterrupt, std::uint64_t seed = 1);
 
-  void AttachTo(drivers::Medium& medium) { ifaces_[0].nic->AttachMedium(&medium); }
-
-  // Adds a secondary NIC ("Each workstation was equipped with ... a
-  // 10Mb/sec Ethernet, a ... Fore TCA-100 ATM interface ... and an
-  // experimental 45Mb/sec Digital T3 network adapter"). Returns the
-  // interface index for use in routes; attach it with AttachNicTo.
-  int AddNic(drivers::DeviceProfile profile, NetConfig net_config);
-  void AttachNicTo(int if_index, drivers::Medium& medium) {
-    ifaces_[static_cast<std::size_t>(if_index)].nic->AttachMedium(&medium);
-  }
-
-  // Resolves the next hop on the given interface and transmits an IP packet
-  // (the link-layer glue under the IP layer).
-  void TransmitIp(net::MbufPtr packet, net::Ipv4Address next_hop, int if_index);
-
   // --- subsystem access ---
-  sim::Host& host() { return host_; }
-  sim::Simulator& simulator() { return host_.simulator(); }
   spin::Dispatcher& dispatcher() { return dispatcher_; }
   spin::DynamicLinker& linker() { return linker_; }
-  drivers::Nic& nic(int if_index = 0) { return *ifaces_[static_cast<std::size_t>(if_index)].nic; }
-  proto::EthLayer& eth_layer(int if_index = 0) {
-    return *ifaces_[static_cast<std::size_t>(if_index)].eth;
-  }
-  proto::ArpService& arp(int if_index = 0) {
-    return *ifaces_[static_cast<std::size_t>(if_index)].arp;
-  }
-  std::size_t interface_count() const { return ifaces_.size(); }
-  proto::Ipv4Layer& ip_layer() { return *ip_layer_; }
-  proto::IcmpLayer& icmp() { return *icmp_; }
   proto::ActiveMessageEndpoint& active_messages() { return *am_; }
 
   EthernetManager& ethernet() { return *eth_mgr_; }
@@ -459,8 +397,6 @@ class PlexusHost {
   const spin::DomainPtr& app_domain() { return app_domain_; }
 
   HandlerMode mode() const { return mode_; }
-  net::Ipv4Address ip_address() const { return net_config_.ip; }
-  net::MacAddress mac() const { return net_config_.mac; }
 
   // Runs `fn` as application/kernel work on this host's CPU.
   void Run(sim::Host::TaskFn fn) { host_.Submit(sim::Priority::kKernel, std::move(fn)); }
@@ -496,12 +432,6 @@ class PlexusHost {
   void AddBatchFlush(std::function<void(bool deliver)> flush,
                      std::function<std::size_t()> count);
 
-  // The bounded buffer pool every pooled allocation on this host draws
-  // from. Replacing the capacity swaps in a fresh pool; buffers still
-  // outstanding stay valid and retire against the old books.
-  net::MbufPool& mbuf_pool() { return *mbuf_pool_; }
-  void SetMbufPoolCapacity(std::size_t segments);
-
   spin::DeferredQueue& deferred_queue() { return deferred_; }
 
   // Whether graph events demand EPHEMERAL handlers (interrupt mode).
@@ -526,7 +456,8 @@ class PlexusHost {
   // arriving on the wire vanish). The sim::Host, its metrics, the
   // dispatcher, linker, domains, and the mbuf pool survive — the pool is
   // drained back to empty by the teardown, which is exactly the zero-leak
-  // invariant the chaos harness asserts.
+  // invariant the chaos harness asserts. The graph goes first, then the
+  // chassis's lower half, then the queued CPU work and deferred threads.
   void Crash();
   // Reboots with a fresh protocol graph. Nothing of the old transport state
   // remains: peers discover the restart the hard way (retransmit, time out,
@@ -536,42 +467,23 @@ class PlexusHost {
   bool crashed() const { return crashed_; }
 
  private:
-  // One attachment point: NIC + framing + neighbor resolution. The NIC
-  // survives a crash (it is hardware); eth/arp are protocol state and die.
-  struct Iface {
-    std::unique_ptr<drivers::Nic> nic;
-    std::unique_ptr<proto::EthLayer> eth;
-    std::unique_ptr<proto::ArpService> arp;
-    NetConfig cfg;  // remembered for cold restart
-  };
-
   struct BatchFlushEntry {
     std::function<void(bool deliver)> flush;
     std::function<std::size_t()> count;
   };
 
+  // The graph above the chassis: active messages, the four managers, and
+  // the kernel handlers wiring them together.
+  void BuildGraph();
   void WireGraph();
-  void WireMbufPool();
-  void WireBatchHooks(proto::EthLayer& eth);
   void OpenBatchScope();
   void CloseBatchScope(bool sheddable);
   void ExportDomainSymbols();
-  Iface MakeIface(drivers::DeviceProfile profile, NetConfig cfg);
-  std::vector<Iface> MakeInitialIfaces(const drivers::DeviceProfile& profile, NetConfig cfg);
-  int IfIndexForRcvif(int rcvif) const;
 
-  sim::Host host_;
-  std::unique_ptr<net::MbufPool> mbuf_pool_;
   spin::DeferredQueue deferred_;
   spin::Dispatcher dispatcher_;
   spin::DynamicLinker linker_;
-  NetConfig net_config_;
   HandlerMode mode_;
-  std::map<int, int> rcvif_to_if_index_;   // NIC global index -> if_index
-  std::vector<Iface> ifaces_;              // [0] is the primary interface
-  std::unique_ptr<proto::Ipv4Layer> ip_layer_;
-  std::unique_ptr<proto::IcmpLayer> icmp_;
-  std::unique_ptr<proto::UdpLayer> udp_layer_;
   std::unique_ptr<proto::ActiveMessageEndpoint> am_;
 
   std::unique_ptr<EthernetManager> eth_mgr_;
@@ -590,8 +502,6 @@ class PlexusHost {
   std::vector<BatchFlushEntry> batch_flushes_;
 
   bool crashed_ = false;
-  proto::RoutingTable saved_routes_;  // routing config survives a reboot
-  bool saved_forwarding_ = false;
   // Lazily resolved: hosts that never crash add no instruments (keeps
   // fault-free metrics snapshots byte-identical).
   sim::Counter* crashes_ = nullptr;

@@ -53,29 +53,24 @@ class MbufError : public std::runtime_error {
 // (see mbuf_pool.h for the pool semantics). Intrusively refcounted: the pool
 // holds one reference, each outstanding pooled storage block holds one, so
 // the books stay consistent whichever dies first. Internal to net; hosts
-// observe it through the pool's hooks.
+// observe it through the pool's gauge slots and exhaustion hook.
 struct MbufPoolControl {
   std::size_t in_use = 0;
   std::size_t peak = 0;
   std::uint64_t total_allocated = 0;
   std::uint64_t exhaustions = 0;
   std::uint32_t refs = 1;
-  // Fast path: when the host wires gauge storage directly, every occupancy
-  // change is two plain stores instead of a std::function call (~1M hook
-  // fires per 10k-connection run). The hook remains for observers that need
-  // arbitrary code.
+  // Gauge storage the host wires directly: every occupancy change is two
+  // plain stores (~1M changes per 10k-connection run).
   std::int64_t* gauge_in_use = nullptr;
   std::int64_t* gauge_peak = nullptr;
-  std::function<void(std::size_t in_use, std::size_t peak)> on_occupancy;
   std::function<void()> on_exhausted;
 
   void NotifyOccupancy() {
     if (gauge_in_use != nullptr) {
       *gauge_in_use = static_cast<std::int64_t>(in_use);
       *gauge_peak = static_cast<std::int64_t>(peak);
-      return;
     }
-    if (on_occupancy) on_occupancy(in_use, peak);
   }
   void Ref() { ++refs; }
   void Unref() {

@@ -15,7 +15,6 @@ MbufPool::MbufPool(std::size_t capacity_segments)
 MbufPool::~MbufPool() {
   // Outstanding segments may be released long after the pool (and the host
   // whose instruments the hooks reference) is gone.
-  ctl_->on_occupancy = nullptr;
   ctl_->on_exhausted = nullptr;
   ctl_->gauge_in_use = nullptr;
   ctl_->gauge_peak = nullptr;
@@ -26,8 +25,6 @@ std::size_t MbufPool::in_use() const { return ctl_->in_use; }
 std::size_t MbufPool::peak_in_use() const { return ctl_->peak; }
 std::uint64_t MbufPool::total_allocated() const { return ctl_->total_allocated; }
 std::uint64_t MbufPool::exhaustions() const { return ctl_->exhaustions; }
-
-void MbufPool::SetOccupancyHook(OccupancyHook h) { ctl_->on_occupancy = std::move(h); }
 
 void MbufPool::SetOccupancyGauges(std::int64_t* in_use_slot, std::int64_t* peak_slot) {
   ctl_->gauge_in_use = in_use_slot;

@@ -18,9 +18,9 @@
 // packets — while explicit copies an extension makes are its own domain's
 // problem.
 //
-// Layering: net has no sim dependency, so observability is exposed through
-// plain std::function hooks; sim-level code (PlexusHost/SocketHost) wires
-// them to metrics-registry gauges/counters.
+// Layering: net has no sim dependency, so observability is exposed as raw
+// gauge slots and a plain std::function exhaustion hook; the host chassis
+// (proto::HostStack) wires them to metrics-registry gauges/counters.
 #ifndef PLEXUS_NET_MBUF_POOL_H_
 #define PLEXUS_NET_MBUF_POOL_H_
 
@@ -36,14 +36,13 @@ namespace net {
 
 class MbufPool {
  public:
-  // Hooks fire on every occupancy change / failed reservation.
-  using OccupancyHook = std::function<void(std::size_t in_use, std::size_t peak)>;
+  // Fires on every failed reservation.
   using ExhaustionHook = std::function<void()>;
 
   explicit MbufPool(std::size_t capacity_segments = DefaultCapacity());
   // Outstanding buffers stay valid after the pool dies: they hold the
   // control block via shared_ptr and return to its books silently (the
-  // hooks are detached so no dangling instrument is touched).
+  // gauges and hook are detached so no dangling instrument is touched).
   ~MbufPool();
   MbufPool(const MbufPool&) = delete;
   MbufPool& operator=(const MbufPool&) = delete;
@@ -65,10 +64,9 @@ class MbufPool {
   std::uint64_t total_allocated() const;  // segments ever handed out
   std::uint64_t exhaustions() const;      // failed reservations
 
-  void SetOccupancyHook(OccupancyHook h);
   void SetExhaustionHook(ExhaustionHook h);
-  // Direct-store alternative to the occupancy hook: both slots (or neither)
-  // must be non-null and outlive every buffer issued by this pool.
+  // Every occupancy change stores in_use / peak into these slots: both (or
+  // neither) must be non-null and outlive every buffer issued by this pool.
   void SetOccupancyGauges(std::int64_t* in_use_slot, std::int64_t* peak_slot);
 
   // Capacity from the PLEXUS_MBUF_POOL environment variable: unset/empty ->

@@ -1,57 +1,15 @@
 #include "os/socket_host.h"
 
-#include "net/view.h"
-#include "proto/transport_checksum.h"
+#include <utility>
 
 namespace os {
 
-SocketHost::Iface SocketHost::MakeIface(drivers::DeviceProfile profile, NetConfig cfg) {
-  Iface iface;
-  iface.nic = std::make_unique<drivers::Nic>(host_, std::move(profile), cfg.mac);
-  iface.eth = std::make_unique<proto::EthLayer>(host_, *iface.nic);
-  iface.arp = std::make_unique<proto::ArpService>(host_, *iface.eth, cfg.ip);
-  // ifaces_ may not contain this entry yet: the caller pushes it next.
-  rcvif_to_if_index_[iface.nic->index()] = static_cast<int>(rcvif_to_if_index_.size());
-  return iface;
-}
-
-std::vector<SocketHost::Iface> SocketHost::MakeInitialIfaces(
-    const drivers::DeviceProfile& profile, NetConfig cfg) {
-  std::vector<Iface> out;
-  out.push_back(MakeIface(profile, cfg));
-  return out;
-}
-
-int SocketHost::IfIndexForRcvif(int rcvif) const {
-  auto it = rcvif_to_if_index_.find(rcvif);
-  return it == rcvif_to_if_index_.end() ? 0 : it->second;
-}
-
-int SocketHost::AddNic(drivers::DeviceProfile profile, NetConfig cfg) {
-  const std::size_t mtu = profile.mtu;
-  ifaces_.push_back(MakeIface(std::move(profile), cfg));
-  const int if_index = static_cast<int>(ifaces_.size()) - 1;
-  ip_layer_.AddInterface(if_index,
-                         proto::Ipv4Layer::Interface{cfg.ip, cfg.prefix_len, mtu});
-  WireIfaceUpcall(ifaces_.back());
-  return if_index;
-}
-
-void SocketHost::WireIfaceUpcall(Iface& iface) {
-  iface.eth->SetUpcall([this](net::MbufPtr frame, const net::EthernetHeader& hdr) {
-    const int if_index = IfIndexForRcvif(frame->pkthdr().rcvif);
-    frame->TrimFront(sizeof(net::EthernetHeader));
-    switch (hdr.type.value()) {
-      case net::ethertype::kArp:
-        ifaces_[static_cast<std::size_t>(if_index)].arp->Input(std::move(frame));
-        break;
-      case net::ethertype::kIpv4:
-        ip_layer_.Input(std::move(frame));
-        break;
-      default:
-        break;  // monolithic kernel: unknown types are silently dropped
-    }
-  });
+SocketHost::SocketHost(sim::Simulator& s, std::string name, sim::CostModel costs,
+                       drivers::DeviceProfile profile, NetConfig net_config, std::uint64_t seed)
+    : HostStack(s, std::move(name), costs, std::move(profile), net_config, seed) {
+  // Demultiplexing is hard-wired kernel code: a switch statement per layer,
+  // not a guard chain.
+  //
   // Under the batched packet path the shared driver delivers NAPI-style rx
   // bursts to this kernel too (one interrupt, many frames) — a monolithic
   // kernel amortizes interrupts the same way, so the comparison stays
@@ -60,7 +18,21 @@ void SocketHost::WireIfaceUpcall(Iface& iface) {
   // only account for the bursts. Counters are registered lazily so a run
   // that never sees a burst has a metrics snapshot identical to pre-batch
   // builds.
-  iface.eth->SetBatchHooks(
+  SetFrameHandlers(
+      [this](net::MbufPtr frame, const net::EthernetHeader& hdr) {
+        const int if_index = IfIndexForRcvif(frame->pkthdr().rcvif);
+        frame->TrimFront(sizeof(net::EthernetHeader));
+        switch (hdr.type.value()) {
+          case net::ethertype::kArp:
+            arp(if_index).Input(std::move(frame));
+            break;
+          case net::ethertype::kIpv4:
+            ip_layer().Input(std::move(frame));
+            break;
+          default:
+            break;  // monolithic kernel: unknown types are silently dropped
+        }
+      },
       [this](std::size_t frames) {
         if (rx_bursts_ == nullptr) {
           rx_bursts_ = &host_.metrics().counter("os.rx_bursts");
@@ -69,61 +41,15 @@ void SocketHost::WireIfaceUpcall(Iface& iface) {
         rx_bursts_->Inc();
         rx_burst_frames_->Inc(frames);
       },
-      [] {});
-}
+      nullptr);
 
-SocketHost::SocketHost(sim::Simulator& s, std::string name, sim::CostModel costs,
-                       drivers::DeviceProfile profile, NetConfig net_config, std::uint64_t seed)
-    : host_(s, std::move(name), costs, seed),
-      mbuf_pool_(std::make_unique<net::MbufPool>(net::MbufPool::DefaultCapacity())),
-      net_config_(net_config),
-      ifaces_(MakeInitialIfaces(profile, net_config)),
-      ip_layer_(host_,
-                proto::Ipv4Layer::Config{net_config.ip, net_config.prefix_len, profile.mtu}),
-      icmp_(host_, ip_layer_),
-      udp_layer_(host_, ip_layer_) {
-  WireMbufPool();
-  WireStack();
-}
-
-void SocketHost::WireMbufPool() {
-  host_.set_mbuf_pool(mbuf_pool_.get());
-  auto& in_use = host_.metrics().gauge("mbuf.pool_in_use");
-  auto& peak = host_.metrics().gauge("mbuf.pool_peak");
-  auto& exhausted = host_.metrics().counter("mbuf.pool_exhausted");
-  mbuf_pool_->SetOccupancyHook([&in_use, &peak](std::size_t cur, std::size_t pk) {
-    in_use.Set(static_cast<std::int64_t>(cur));
-    peak.Set(static_cast<std::int64_t>(pk));
-  });
-  mbuf_pool_->SetExhaustionHook([&exhausted] { exhausted.Inc(); });
-}
-
-void SocketHost::SetMbufPoolCapacity(std::size_t segments) {
-  mbuf_pool_ = std::make_unique<net::MbufPool>(segments);
-  WireMbufPool();
-}
-
-void SocketHost::WireStack() {
-  // Link layer demux: a switch statement in the kernel, not a guard chain.
-  WireIfaceUpcall(ifaces_[0]);
-
-  ip_layer_.SetTransmit([this](net::MbufPtr packet, net::Ipv4Address next_hop, int if_index) {
-    if (if_index < 0 || if_index >= static_cast<int>(ifaces_.size())) return;
-    Iface& iface = ifaces_[static_cast<std::size_t>(if_index)];
-    auto shared = std::shared_ptr<net::Mbuf>(packet.release());
-    iface.arp->Resolve(next_hop, [&iface, shared](std::optional<net::MacAddress> mac) {
-      if (!mac) return;
-      iface.eth->Output(net::MbufPtr(shared->ShareClone()), *mac, net::ethertype::kIpv4);
-    });
-  });
-
-  ip_layer_.SetDeliver([this](net::MbufPtr payload, const net::Ipv4Header& hdr) {
+  ip_layer().SetDeliver([this](net::MbufPtr payload, const net::Ipv4Header& hdr) {
     switch (hdr.protocol) {
       case net::ipproto::kIcmp:
-        icmp_.Input(std::move(payload), hdr.src);
+        icmp().Input(std::move(payload), hdr.src);
         break;
       case net::ipproto::kUdp:
-        udp_layer_.Input(std::move(payload), hdr.src, hdr.dst);
+        udp_layer().Input(std::move(payload), hdr.src, hdr.dst);
         break;
       case net::ipproto::kTcp:
         tcp_demux_.Input(std::move(payload), hdr.src, hdr.dst);
@@ -132,43 +58,14 @@ void SocketHost::WireStack() {
         break;
     }
   });
-
-  ip_layer_.SetIcmpNotify([this](const net::Ipv4Header& hdr, std::uint8_t type,
-                                 std::uint8_t code) { icmp_.SendError(hdr, type, code); });
-
-  // Datagrams for unbound ports answer with ICMP port unreachable, like any
-  // BSD-derived kernel.
-  udp_layer_.SetDefaultReceiver([this](net::MbufPtr, const proto::UdpDatagram& info) {
-    if (info.dst_ip.IsBroadcast() || info.dst_ip.IsMulticast()) return;
-    net::Ipv4Header offending;
-    offending.protocol = net::ipproto::kUdp;
-    offending.src = info.src_ip;
-    offending.dst = info.dst_ip;
-    icmp_.SendError(offending, net::icmptype::kDestUnreachable, /*code=*/3);
+  udp_layer().SetDefaultReceiver([this](net::MbufPtr, const proto::UdpDatagram& info) {
+    icmp().SendPortUnreachable(info.src_ip, info.dst_ip);
   });
-
   tcp_demux_.SetRstSender([this](const net::TcpHeader& hdr, net::Ipv4Address src,
                                  net::Ipv4Address dst, std::size_t payload_len) {
-    net::TcpHeader rst;
-    rst.src_port = hdr.dst_port;
-    rst.dst_port = hdr.src_port;
-    rst.flags = net::tcpflag::kRst;
-    if (hdr.flags & net::tcpflag::kAck) {
-      rst.seq = hdr.ack;
-    } else {
-      rst.flags |= net::tcpflag::kAck;
-      const std::uint32_t syn_fin = ((hdr.flags & net::tcpflag::kSyn) ? 1u : 0u) +
-                                    ((hdr.flags & net::tcpflag::kFin) ? 1u : 0u);
-      rst.ack = hdr.seq.value() + static_cast<std::uint32_t>(payload_len) + syn_fin;
+    if (auto rst = proto::MakeRst(host_.mbuf_pool(), hdr, src, dst, payload_len)) {
+      ip_layer().Output(std::move(rst), dst, src, net::ipproto::kTcp);
     }
-    rst.window = 0;
-    rst.checksum = 0;
-    auto m = net::PoolAllocate(host_.mbuf_pool(), sizeof(rst));
-    if (m == nullptr) return;  // pool dry: RSTs are best-effort
-    net::StorePacket(*m, rst);
-    rst.checksum = proto::TransportChecksum(dst, src, net::ipproto::kTcp, *m);
-    net::StorePacket(*m, rst);
-    ip_layer_.Output(std::move(m), dst, src, net::ipproto::kTcp);
   });
 }
 

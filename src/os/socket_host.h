@@ -1,7 +1,8 @@
 // The monolithic baseline: a "DIGITAL UNIX"-structured kernel.
 //
-// Identical protocol modules and device drivers as Plexus (the paper's
-// controlled comparison), but wired as a conventional kernel:
+// Identical protocol modules and device drivers as Plexus — the same
+// proto::HostStack chassis underneath (the paper's controlled comparison) —
+// but wired as a conventional kernel:
 //   * demultiplexing is hard-wired kernel code (no events, no extensions),
 //   * applications live in user processes behind a syscall boundary:
 //     each send traps and copies data into the kernel; each receive charges
@@ -14,60 +15,25 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "drivers/medium.h"
-#include "drivers/nic.h"
-#include "net/headers.h"
-#include "net/mbuf.h"
-#include "net/mbuf_pool.h"
-#include "proto/arp.h"
-#include "proto/eth.h"
-#include "proto/icmp.h"
-#include "proto/ip.h"
+#include "proto/host_stack.h"
 #include "proto/tcp.h"
 #include "proto/tcp_demux.h"
-#include "proto/udp.h"
-#include "sim/host.h"
 
 namespace os {
 
-class SocketHost {
+class SocketHost : public proto::HostStack {
  public:
-  struct NetConfig {
-    net::MacAddress mac;
-    net::Ipv4Address ip;
-    int prefix_len = 24;
-  };
-
   SocketHost(sim::Simulator& s, std::string name, sim::CostModel costs,
              drivers::DeviceProfile profile, NetConfig net_config, std::uint64_t seed = 1);
+  // Queued syscalls hold their sockets (a call the process issued
+  // completes); they are dropped while the demux those sockets leave on
+  // destruction still exists.
+  ~SocketHost() { host_.cpu().Reset(); }
 
-  void AttachTo(drivers::Medium& medium) { ifaces_[0].nic->AttachMedium(&medium); }
-
-  // Adds a secondary NIC (multi-homed host / router). Returns the interface
-  // index for routes; attach with AttachNicTo.
-  int AddNic(drivers::DeviceProfile profile, NetConfig net_config);
-  void AttachNicTo(int if_index, drivers::Medium& medium) {
-    ifaces_[static_cast<std::size_t>(if_index)].nic->AttachMedium(&medium);
-  }
-
-  sim::Host& host() { return host_; }
-  sim::Simulator& simulator() { return host_.simulator(); }
-  drivers::Nic& nic(int if_index = 0) { return *ifaces_[static_cast<std::size_t>(if_index)].nic; }
-  proto::ArpService& arp(int if_index = 0) {
-    return *ifaces_[static_cast<std::size_t>(if_index)].arp;
-  }
-  proto::Ipv4Layer& ip_layer() { return ip_layer_; }
-  proto::IcmpLayer& icmp() { return icmp_; }
-  proto::UdpLayer& udp_layer() { return udp_layer_; }
   proto::TcpDemux& tcp_demux() { return tcp_demux_; }
   proto::TcpConfig& tcp_config() { return tcp_config_; }
-  net::Ipv4Address ip_address() const { return net_config_.ip; }
-  net::MacAddress mac() const { return net_config_.mac; }
 
   // Runs user-level application code (a process getting the CPU).
   void RunUser(std::function<void()> fn) {
@@ -83,27 +49,7 @@ class SocketHost {
   // in a later user task after wakeup, context switch, and copyout.
   void DeliverToUser(std::size_t bytes, std::function<void()> app_callback);
 
-  // The bounded buffer pool (same bound as the Plexus side — the drivers
-  // are shared, so the comparison stays controlled).
-  net::MbufPool& mbuf_pool() { return *mbuf_pool_; }
-  void SetMbufPoolCapacity(std::size_t segments);
-
  private:
-  struct Iface {
-    std::unique_ptr<drivers::Nic> nic;
-    std::unique_ptr<proto::EthLayer> eth;
-    std::unique_ptr<proto::ArpService> arp;
-  };
-
-  void WireStack();
-  void WireMbufPool();
-  Iface MakeIface(drivers::DeviceProfile profile, NetConfig cfg);
-  std::vector<Iface> MakeInitialIfaces(const drivers::DeviceProfile& profile, NetConfig cfg);
-  void WireIfaceUpcall(Iface& iface);
-  int IfIndexForRcvif(int rcvif) const;
-
-  sim::Host host_;
-  std::unique_ptr<net::MbufPool> mbuf_pool_;
   // "os.*" counters: the baseline's trap/copy/schedule activity (the very
   // costs the paper's Section 4 breakdown charges against this structure).
   sim::Counter& syscalls_ = host_.metrics().counter("os.syscalls");
@@ -115,12 +61,6 @@ class SocketHost {
   // a burst, keeping per-packet-mode metric snapshots unchanged).
   sim::Counter* rx_bursts_ = nullptr;
   sim::Counter* rx_burst_frames_ = nullptr;
-  NetConfig net_config_;
-  std::map<int, int> rcvif_to_if_index_;  // NIC global index -> if_index
-  std::vector<Iface> ifaces_;             // [0] is the primary interface
-  proto::Ipv4Layer ip_layer_;
-  proto::IcmpLayer icmp_;
-  proto::UdpLayer udp_layer_;
   proto::TcpDemux tcp_demux_;
   proto::TcpConfig tcp_config_;
 };

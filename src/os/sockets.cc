@@ -6,14 +6,16 @@ namespace os {
 
 // --- UdpSocket ------------------------------------------------------------------
 
-UdpSocket::UdpSocket(SocketHost& os, std::uint16_t port) : os_(os), port_(port) {
+UdpSocket::UdpSocket(SocketHost& os, std::uint16_t port)
+    : os_(os), port_(port), on_datagram_(std::make_shared<DatagramCallback>()) {
   const bool ok = os_.udp_layer().Bind(port, [this](net::MbufPtr payload,
                                                     const proto::UdpDatagram& info) {
     // Kernel side: copy into the socket buffer, then wake the process.
     auto bytes = payload->Linearize();
     const std::size_t len = bytes.size();  // before the move (eval order)
-    os_.DeliverToUser(len, [this, bytes = std::move(bytes), info]() mutable {
-      if (on_datagram_) on_datagram_(std::move(bytes), info);
+    os_.DeliverToUser(len, [cb = std::weak_ptr(on_datagram_), bytes = std::move(bytes),
+                            info]() mutable {
+      if (auto f = cb.lock(); f && *f) (*f)(std::move(bytes), info);
     });
   });
   if (!ok) throw std::runtime_error("UDP port already bound: " + std::to_string(port));
@@ -26,73 +28,19 @@ void UdpSocket::SendTo(std::span<const std::byte> data, net::Ipv4Address dst,
   std::vector<std::byte> copy(data.begin(), data.end());
   const std::size_t len = copy.size();  // before the move: argument evaluation
                                         // order is unspecified
-  os_.Syscall(len, [this, copy = std::move(copy), dst, dst_port] {
-    auto m = net::PoolFromBytes(os_.host().mbuf_pool(), copy);
+  // The closure carries what the call needs by value, never the socket.
+  os_.Syscall(len, [&os = os_, port = port_, checksum = checksum_, copy = std::move(copy), dst,
+                    dst_port] {
+    auto m = net::PoolFromBytes(os.host().mbuf_pool(), copy);
     if (m == nullptr) return;  // pool dry: ENOBUFS — the datagram is dropped
-    os_.udp_layer().Output(std::move(m), net::Ipv4Address::Any(), port_, dst, dst_port,
-                           checksum_);
+    os.udp_layer().Output(std::move(m), net::Ipv4Address::Any(), port, dst, dst_port, checksum);
   });
 }
 
 // --- TcpSocket ------------------------------------------------------------------
 
-TcpSocket::TcpSocket(SocketHost& os, proto::TcpEndpoints ep) : os_(os) {
-  proto::TcpConnection::Callbacks cbs;
-  cbs.send_segment = [this](net::MbufPtr segment, net::Ipv4Address src, net::Ipv4Address dst) {
-    os_.ip_layer().Output(std::move(segment), src, dst, net::ipproto::kTcp);
-  };
-  cbs.on_established = [this] {
-    if (on_established_) on_established_();
-  };
-  cbs.on_data = [this](std::span<const std::byte> data) {
-    // Kernel receive path done; cross the boundary to the app.
-    std::vector<std::byte> bytes(data.begin(), data.end());
-    const std::size_t len = bytes.size();  // before the move (eval order)
-    os_.DeliverToUser(len, [this, bytes = std::move(bytes)] {
-      if (on_data_) {
-        on_data_(bytes);
-      } else {
-        pre_data_.insert(pre_data_.end(), bytes.begin(), bytes.end());
-      }
-    });
-  };
-  cbs.on_send_ready = [this] { FlushPending(); };
-  cbs.on_remote_close = [this] {
-    // EOF from the peer. Must take the same wakeup/copyout path as data so
-    // it cannot overtake packets still crossing the user/kernel boundary.
-    if (!close_delivered_) {
-      close_delivered_ = true;
-      os_.DeliverToUser(0, [this] {
-        if (on_close_) on_close_();
-      });
-    }
-  };
-  cbs.on_closed = [this] {
-    if (registered_) {
-      os_.tcp_demux().Unregister(conn_->endpoints());
-      registered_ = false;
-    }
-    if (!close_delivered_) {
-      close_delivered_ = true;
-      if (on_close_) on_close_();
-    }
-  };
-  cbs.on_error = [this](proto::TcpError err) {
-    // ECONNRESET / ETIMEDOUT surface through the same wakeup path as data,
-    // so an error cannot overtake bytes already copied into the kernel.
-    const auto stream_err = err == proto::TcpError::kTimedOut ? proto::StreamError::kTimedOut
-                                                              : proto::StreamError::kReset;
-    os_.DeliverToUser(0, [this, stream_err] {
-      if (on_error_) on_error_(stream_err);
-    });
-  };
-  conn_ = std::make_unique<proto::TcpConnection>(os_.host(), os_.tcp_config(), ep,
-                                                 std::move(cbs));
-}
-
-TcpSocket::~TcpSocket() {
-  if (registered_) os_.tcp_demux().Unregister(conn_->endpoints());
-}
+TcpSocket::TcpSocket(SocketHost& os, proto::TcpEndpoints ep)
+    : TcpStream(os, os.tcp_demux(), os.tcp_config(), ep), os_(os) {}
 
 std::shared_ptr<TcpSocket> TcpSocket::Connect(SocketHost& os, net::Ipv4Address remote_ip,
                                               std::uint16_t remote_port,
@@ -100,79 +48,53 @@ std::shared_ptr<TcpSocket> TcpSocket::Connect(SocketHost& os, net::Ipv4Address r
   if (local_port == 0) local_port = next_ephemeral_port_++;
   proto::TcpEndpoints ep{os.ip_address(), local_port, remote_ip, remote_port};
   auto sock = std::shared_ptr<TcpSocket>(new TcpSocket(os, ep));
-  os.tcp_demux().Register(&sock->connection());
-  sock->registered_ = true;
+  sock->Register();
   // connect(2) is a syscall.
   os.Syscall(0, [sock] { sock->connection().Connect(); });
   return sock;
 }
 
-std::size_t TcpSocket::Write(std::span<const std::byte> data) {
-  // write(2): trap + copyin, then the kernel TCP queues what fits; the rest
-  // waits in the user buffer for on_send_ready.
-  std::vector<std::byte> copy(data.begin(), data.end());
-  const std::size_t len = copy.size();
-  os_.Syscall(len, [this, copy = std::move(copy)] {
-    pending_.insert(pending_.end(), copy.begin(), copy.end());
-    FlushPending();
+void TcpSocket::ToKernel(std::span<const std::byte> bytes, Crossing work) {
+  // write(2) / close(2): trap + copyin. The syscall holds the socket, so it
+  // completes even if the process drops the socket before it runs.
+  std::vector<std::byte> copy(bytes.begin(), bytes.end());
+  const std::size_t len = copy.size();  // before the move (eval order)
+  os_.Syscall(len, [self = shared_from_this(), copy = std::move(copy), work = std::move(work)] {
+    work(copy);
   });
-  return data.size();
 }
 
-void TcpSocket::FlushPending() {
-  while (!pending_.empty()) {
-    std::vector<std::byte> chunk(
-        pending_.begin(),
-        pending_.begin() + static_cast<std::ptrdiff_t>(
-                               std::min<std::size_t>(pending_.size(), 16 * 1024)));
-    const std::size_t accepted = conn_->Send(chunk);
-    pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(accepted));
-    if (accepted < chunk.size()) break;  // kernel buffer full
-  }
-  if (close_after_flush_ && pending_.empty()) {
-    close_after_flush_ = false;
-    conn_->Close();
-  }
-}
-
-void TcpSocket::SetOnData(std::function<void(std::span<const std::byte>)> cb) {
-  on_data_ = std::move(cb);
-  if (on_data_ && !pre_data_.empty()) {
-    std::vector<std::byte> stashed;
-    stashed.swap(pre_data_);
-    on_data_(stashed);
-  }
-}
-
-void TcpSocket::SetOnClose(std::function<void()> cb) { on_close_ = std::move(cb); }
-
-void TcpSocket::CloseStream() {
-  os_.Syscall(0, [this] {
-    if (pending_.empty()) {
-      conn_->Close();
-    } else {
-      close_after_flush_ = true;  // FIN after the user buffer drains
-    }
+void TcpSocket::ToApp(std::span<const std::byte> bytes, Crossing work) {
+  // Kernel receive path done; wake the process and copy out. The wakeup
+  // holds the socket only weakly: if the process dropped it meanwhile, the
+  // wakeup is still charged but delivers nothing.
+  std::vector<std::byte> copy(bytes.begin(), bytes.end());
+  const std::size_t len = copy.size();  // before the move (eval order)
+  os_.DeliverToUser(len, [weak = weak_from_this(), copy = std::move(copy),
+                          work = std::move(work)] {
+    if (auto self = weak.lock()) work(copy);
   });
 }
 
 // --- TcpListener ------------------------------------------------------------------
 
 TcpListener::TcpListener(SocketHost& os, std::uint16_t port, Acceptor acceptor)
-    : os_(os), port_(port), acceptor_(std::move(acceptor)) {
+    : os_(os), port_(port), acceptor_(std::make_shared<Acceptor>(std::move(acceptor))) {
   os_.tcp_demux().Listen(port, [this](const proto::TcpEndpoints& ep) -> proto::TcpConnection* {
     auto sock = std::shared_ptr<TcpSocket>(new TcpSocket(os_, ep));
     accepted_.push_back(sock);
-    sock->SetOnEstablished([this, weak = std::weak_ptr(sock)] {
-      if (auto s = weak.lock()) {
-        // accept(2) returns in the user process.
-        os_.DeliverToUser(0, [this, s] {
-          if (acceptor_) acceptor_(s);
-        });
-      }
+    sock->SetOnEstablished([&os = os_, acceptor = std::weak_ptr(acceptor_),
+                            weak = std::weak_ptr(sock)] {
+      // accept(2) returns in the user process. The wakeup holds neither the
+      // listener nor the socket: accepted_ keeps the socket while the
+      // listener lives.
+      os.DeliverToUser(0, [acceptor, weak] {
+        auto a = acceptor.lock();
+        auto s = weak.lock();
+        if (a && *a && s) (*a)(s);
+      });
     });
-    os_.tcp_demux().Register(&sock->connection());
-    sock->registered_ = true;
+    sock->Register();
     sock->connection().Listen();
     return &sock->connection();
   });

@@ -9,15 +9,14 @@
 #define PLEXUS_OS_SOCKETS_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "os/socket_host.h"
-#include "proto/http.h"
 #include "proto/tcp.h"
+#include "proto/tcp_stream.h"
 #include "proto/udp.h"
 
 namespace os {
@@ -34,10 +33,11 @@ class UdpSocket {
   UdpSocket(const UdpSocket&) = delete;
   UdpSocket& operator=(const UdpSocket&) = delete;
 
-  void SetOnDatagram(DatagramCallback cb) { on_datagram_ = std::move(cb); }
+  void SetOnDatagram(DatagramCallback cb) { *on_datagram_ = std::move(cb); }
   void set_checksum_enabled(bool v) { checksum_ = v; }
 
-  // sendto(2): trap + copyin + protocol path.
+  // sendto(2): trap + copyin + protocol path. The datagram goes out even if
+  // the process drops the socket before the syscall runs.
   void SendTo(std::span<const std::byte> data, net::Ipv4Address dst, std::uint16_t dst_port);
   void SendTo(std::string_view s, net::Ipv4Address dst, std::uint16_t dst_port) {
     SendTo({reinterpret_cast<const std::byte*>(s.data()), s.size()}, dst, dst_port);
@@ -49,33 +49,21 @@ class UdpSocket {
   SocketHost& os_;
   std::uint16_t port_;
   bool checksum_ = true;
-  DatagramCallback on_datagram_;
+  // Shared with queued wakeups, which hold it weakly: a datagram whose
+  // wakeup runs after the socket is gone is charged but delivered to
+  // nobody.
+  std::shared_ptr<DatagramCallback> on_datagram_;
 };
 
 // A connected TCP socket, exposed as ByteStream so HTTP and the examples
-// run identically on both systems.
-class TcpSocket : public proto::ByteStream {
+// run identically on both systems. Its two boundary crossings are the
+// baseline's: a call traps in and copies its bytes in (write(2),
+// close(2)); received bytes, EOF and errors wake the process and are
+// copied out. A call issued before the process dropped the socket still
+// completes; a wakeup for a dropped socket is still charged but delivers
+// nothing.
+class TcpSocket : public proto::TcpStream, public std::enable_shared_from_this<TcpSocket> {
  public:
-  ~TcpSocket() override;
-
-  std::size_t Write(std::span<const std::byte> data) override;
-  void SetOnData(std::function<void(std::span<const std::byte>)> cb) override;
-  void SetOnClose(std::function<void()> cb) override;
-  void SetOnError(std::function<void(proto::StreamError)> cb) override {
-    on_error_ = std::move(cb);
-  }
-  void CloseStream() override;
-
-  void SetOnEstablished(std::function<void()> cb) { on_established_ = std::move(cb); }
-  proto::TcpConnection& connection() { return *conn_; }
-  // getsockopt(TCP_INFO) equivalent: one coherent snapshot of the
-  // connection's congestion/RTT/loss state.
-  proto::TcpInfo Info() const { return conn_->info(); }
-  // Arms the per-flow cwnd/srtt/in-flight ring sampler on the connection.
-  void EnableTelemetry(sim::Duration min_interval, std::size_t capacity) {
-    conn_->EnableSampling(min_interval, capacity);
-  }
-
   // Active open. The returned socket is owned by the caller.
   static std::shared_ptr<TcpSocket> Connect(SocketHost& os, net::Ipv4Address remote_ip,
                                             std::uint16_t remote_port,
@@ -85,19 +73,10 @@ class TcpSocket : public proto::ByteStream {
   friend class TcpListener;
   TcpSocket(SocketHost& os, proto::TcpEndpoints ep);
 
-  void FlushPending();
+  void ToKernel(std::span<const std::byte> bytes, Crossing work) override;
+  void ToApp(std::span<const std::byte> bytes, Crossing work) override;
 
   SocketHost& os_;
-  std::unique_ptr<proto::TcpConnection> conn_;
-  std::function<void(std::span<const std::byte>)> on_data_;
-  std::function<void()> on_close_;
-  std::function<void(proto::StreamError)> on_error_;
-  std::function<void()> on_established_;
-  std::deque<std::byte> pending_;  // user-side buffer awaiting kernel space
-  std::vector<std::byte> pre_data_;  // data arriving before SetOnData
-  bool registered_ = false;
-  bool close_after_flush_ = false;
-  bool close_delivered_ = false;
 
   inline static std::uint16_t next_ephemeral_port_ = 40000;
 };
@@ -115,7 +94,8 @@ class TcpListener {
  private:
   SocketHost& os_;
   std::uint16_t port_;
-  Acceptor acceptor_;
+  // Held weakly by queued accept wakeups, like UdpSocket's callback.
+  std::shared_ptr<Acceptor> acceptor_;
   std::vector<std::shared_ptr<TcpSocket>> accepted_;
 };
 

@@ -69,6 +69,16 @@ void IcmpLayer::SendError(const net::Ipv4Header& offending, std::uint8_t type,
   Send(std::move(m), offending.src);
 }
 
+bool IcmpLayer::SendPortUnreachable(net::Ipv4Address src, net::Ipv4Address dst) {
+  if (dst.IsBroadcast() || dst.IsMulticast()) return false;
+  net::Ipv4Header offending;
+  offending.protocol = net::ipproto::kUdp;
+  offending.src = src;
+  offending.dst = dst;
+  SendError(offending, net::icmptype::kDestUnreachable, /*code=*/3);
+  return true;
+}
+
 void IcmpLayer::Input(net::MbufPtr packet, net::Ipv4Address src_ip) {
   host_.Charge(host_.costs().icmp_process);
   net::IcmpHeader hdr;

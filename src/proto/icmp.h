@@ -32,6 +32,11 @@ class IcmpLayer {
 
   // Sends an ICMP error about a received packet's header.
   void SendError(const net::Ipv4Header& offending, std::uint8_t type, std::uint8_t code);
+  // Answers a UDP datagram from `src` to `dst` that no socket claimed with
+  // port unreachable, like any BSD-derived kernel. Broadcast and multicast
+  // datagrams are owed no error: for them it sends nothing and returns
+  // false.
+  bool SendPortUnreachable(net::Ipv4Address src, net::Ipv4Address dst);
 
   // ICMP payload from IP (IP header stripped).
   void Input(net::MbufPtr packet, net::Ipv4Address src_ip);

@@ -15,7 +15,6 @@ namespace proto {
 namespace {
 
 constexpr std::uint8_t kMssOptionKind = 2;
-constexpr std::size_t kMssOptionLen = 4;
 constexpr int kMaxRexmtBackoff = 12;
 
 }  // namespace
@@ -27,6 +26,64 @@ const char* TcpErrorName(TcpError e) {
     case TcpError::kTimedOut: return "ETIMEDOUT";
   }
   return "?";
+}
+
+std::size_t ParseMssOption(const net::Mbuf& segment, const net::TcpHeader& hdr) {
+  const std::size_t hdr_len = hdr.header_length();
+  std::size_t off = sizeof(net::TcpHeader);
+  while (off + 1 < hdr_len) {
+    std::byte kind_b;
+    segment.CopyOut(off, {&kind_b, 1});
+    const auto kind = static_cast<std::uint8_t>(kind_b);
+    if (kind == 0) break;      // end of options
+    if (kind == 1) {           // NOP
+      ++off;
+      continue;
+    }
+    std::byte len_b;
+    segment.CopyOut(off + 1, {&len_b, 1});
+    const auto len = static_cast<std::uint8_t>(len_b);
+    if (len < 2 || off + len > hdr_len) break;
+    if (kind == kMssOptionKind && len == kMssOptionLen) {
+      std::byte v[2];
+      segment.CopyOut(off + 2, v);
+      return (static_cast<std::size_t>(static_cast<std::uint8_t>(v[0])) << 8) |
+             static_cast<std::uint8_t>(v[1]);
+    }
+    off += len;
+  }
+  return 0;
+}
+
+void WriteMssOption(net::Mbuf& segment, std::size_t mss) {
+  const std::byte opt[kMssOptionLen] = {std::byte{kMssOptionKind}, std::byte{kMssOptionLen},
+                                        static_cast<std::byte>(mss >> 8),
+                                        static_cast<std::byte>(mss & 0xff)};
+  segment.CopyIn(sizeof(net::TcpHeader), opt);
+}
+
+net::MbufPtr MakeRst(net::MbufPool* pool, const net::TcpHeader& offending,
+                     net::Ipv4Address src, net::Ipv4Address dst, std::size_t payload_len) {
+  net::TcpHeader rst;
+  rst.src_port = offending.dst_port;
+  rst.dst_port = offending.src_port;
+  rst.flags = net::tcpflag::kRst;
+  if (offending.flags & net::tcpflag::kAck) {
+    rst.seq = offending.ack;
+  } else {
+    rst.flags |= net::tcpflag::kAck;
+    const std::uint32_t syn_fin = ((offending.flags & net::tcpflag::kSyn) ? 1u : 0u) +
+                                  ((offending.flags & net::tcpflag::kFin) ? 1u : 0u);
+    rst.ack = offending.seq.value() + static_cast<std::uint32_t>(payload_len) + syn_fin;
+  }
+  rst.window = 0;
+  rst.checksum = 0;
+  auto m = net::PoolAllocate(pool, sizeof(rst));
+  if (m == nullptr) return nullptr;  // pool dry: RSTs are best-effort
+  net::StorePacket(*m, rst);
+  rst.checksum = TransportChecksum(dst, src, net::ipproto::kTcp, *m);
+  net::StorePacket(*m, rst);
+  return m;
 }
 
 const char* TcpConnection::StateName(State s) {
@@ -324,12 +381,7 @@ void TcpConnection::EmitSegment(std::uint8_t flags, Seq seq, std::size_t buf_off
   hdr.window = static_cast<std::uint16_t>(advertised_window());
   hdr.checksum = 0;
   net::StorePacket(*m, hdr);
-  if (with_mss_option) {
-    const std::byte opt[kMssOptionLen] = {
-        std::byte{kMssOptionKind}, std::byte{kMssOptionLen},
-        static_cast<std::byte>(config_.mss >> 8), static_cast<std::byte>(config_.mss & 0xff)};
-    m->CopyIn(sizeof(net::TcpHeader), opt);
-  }
+  if (with_mss_option) WriteMssOption(*m, config_.mss);
   // The payload goes straight from the send buffer into the segment. The
   // head segment holds the header and at least one payload byte.
   auto src = send_buf_.begin() + static_cast<std::ptrdiff_t>(buf_offset);
@@ -495,34 +547,6 @@ void TcpConnection::TrySend() {
 }
 
 // --- input ----------------------------------------------------------------------
-
-std::size_t TcpConnection::ParseMssOption(const net::Mbuf& segment,
-                                          const net::TcpHeader& hdr) const {
-  const std::size_t hdr_len = hdr.header_length();
-  std::size_t off = sizeof(net::TcpHeader);
-  while (off + 1 < hdr_len) {
-    std::byte kind_b;
-    segment.CopyOut(off, {&kind_b, 1});
-    const auto kind = static_cast<std::uint8_t>(kind_b);
-    if (kind == 0) break;      // end of options
-    if (kind == 1) {           // NOP
-      ++off;
-      continue;
-    }
-    std::byte len_b;
-    segment.CopyOut(off + 1, {&len_b, 1});
-    const auto len = static_cast<std::uint8_t>(len_b);
-    if (len < 2 || off + len > hdr_len) break;
-    if (kind == kMssOptionKind && len == kMssOptionLen) {
-      std::byte v[2];
-      segment.CopyOut(off + 2, v);
-      return (static_cast<std::size_t>(static_cast<std::uint8_t>(v[0])) << 8) |
-             static_cast<std::uint8_t>(v[1]);
-    }
-    off += len;
-  }
-  return 0;
-}
 
 void TcpConnection::Input(net::MbufPtr segment, net::Ipv4Address src_ip,
                           net::Ipv4Address dst_ip) {

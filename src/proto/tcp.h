@@ -82,6 +82,27 @@ struct TcpEndpoints {
   std::uint16_t remote_port = 0;
 };
 
+// --- segment helpers every wiring shares ---------------------------------------
+
+// Length of the one option this stack sends: MSS (kind 2, length 4).
+inline constexpr std::size_t kMssOptionLen = 4;
+
+// The MSS a segment's options offer; 0 if absent or garbled. The walk skips
+// NOPs and options of other kinds (an MSS option whose length is not 4
+// included) and gives up at end-of-options, at a length below 2, or at a
+// length that overruns the header.
+std::size_t ParseMssOption(const net::Mbuf& segment, const net::TcpHeader& hdr);
+// Writes an MSS option offering `mss` right after the fixed header.
+void WriteMssOption(net::Mbuf& segment, std::size_t mss);
+
+// The RST answering `offending`, a segment from `src` to `dst` (carrying
+// `payload_len` bytes) that reached no connection (RFC 793): addressed back
+// to its source, with seq taken from its ACK or, failing one, an ACK of
+// everything it occupied. Built in `pool` (nullptr: the heap); nullptr when
+// the pool is dry — RSTs are best-effort.
+net::MbufPtr MakeRst(net::MbufPool* pool, const net::TcpHeader& offending,
+                     net::Ipv4Address src, net::Ipv4Address dst, std::size_t payload_len);
+
 struct TcpInfo;  // defined below the class (needs TcpConnection::State)
 
 // One point of a per-flow time series: congestion state at a sampling
@@ -252,7 +273,6 @@ class TcpConnection {
   void ProcessData(net::MbufPtr segment, const net::TcpHeader& hdr, std::size_t payload_len);
   void ProcessFin(Seq fin_seq);
   void DeliverInOrder();
-  std::size_t ParseMssOption(const net::Mbuf& segment, const net::TcpHeader& hdr) const;
 
   // --- timers ---
   // Every connection timer arms and disarms through these two: the pair

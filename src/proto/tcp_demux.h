@@ -336,41 +336,12 @@ class TcpDemux {
     return static_cast<std::uint32_t>(x) & 0xffffffu;
   }
 
-  // MSS option of the incoming SYN (0 if absent/garbled) — the demux's own
-  // parser; no TCB exists to delegate to.
-  static std::size_t ParseSynMss(const net::Mbuf& segment, const net::TcpHeader& hdr) {
-    const std::size_t hdr_len = hdr.header_length();
-    std::size_t off = sizeof(net::TcpHeader);
-    while (off + 1 < hdr_len) {
-      std::byte kind_b;
-      segment.CopyOut(off, {&kind_b, 1});
-      const auto kind = static_cast<std::uint8_t>(kind_b);
-      if (kind == 0) break;  // end of options
-      if (kind == 1) {       // NOP
-        ++off;
-        continue;
-      }
-      std::byte len_b;
-      segment.CopyOut(off + 1, {&len_b, 1});
-      const auto len = static_cast<std::uint8_t>(len_b);
-      if (len < 2 || off + len > hdr_len) break;
-      if (kind == 2 && len == 4) {  // MSS option
-        std::byte v[2];
-        segment.CopyOut(off + 2, v);
-        return (static_cast<std::size_t>(static_cast<std::uint8_t>(v[0])) << 8) |
-               static_cast<std::uint8_t>(v[1]);
-      }
-      off += len;
-    }
-    return 0;
-  }
-
   void SendCookieSynAck(const net::Mbuf& segment, const net::TcpHeader& hdr,
                         const TcpEndpoints& ep) {
     EnsureSecret();
     host_->Charge(host_->costs().syn_cookie);
     const Seq irs = hdr.seq.value();
-    const std::size_t peer_mss = ParseSynMss(segment, hdr);
+    const std::size_t peer_mss = ParseMssOption(segment, hdr);
     const std::uint32_t t = TimeCounter();
     std::uint32_t mss_idx = 0;
     for (std::uint32_t i = 0; i < 8; ++i) {

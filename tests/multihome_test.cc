@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/plexus.h"
 #include "drivers/device_profile.h"
@@ -183,6 +184,34 @@ TEST(MultiHome, LargeUdpFragmentsPerInterfaceMtu) {
   });
   net.sim.RunFor(sim::Duration::Seconds(2));
   EXPECT_EQ(got, data);
+}
+
+TEST(MultiHome, CrashedRouterComesBackForwardingThroughItsSecondNic) {
+  // Restart must rebuild every interface, not just the primary: the T3
+  // side's framing, ARP and IP registration, plus the saved routes and
+  // forwarding flag.
+  CrossDeviceNet net;
+  auto tx = net.client.udp().CreateEndpoint(5000).value();
+  auto rx = net.server.udp().CreateEndpoint(7).value();
+  std::vector<std::string> got;
+  spin::HandlerOptions opts;
+  opts.ephemeral = true;
+  rx->InstallReceiveHandler(
+      [&](const net::Mbuf& p, const proto::UdpDatagram&) { got.push_back(p.ToString()); },
+      opts);
+  auto send = [&](const char* text) {
+    net.client.Run([&, text] {
+      tx->Send(net::Mbuf::FromString(text), net::Ipv4Address(10, 0, 2, 10), 7);
+    });
+    net.sim.RunFor(sim::Duration::Seconds(2));
+  };
+  send("before the crash");
+  net.router.Crash();
+  net.sim.RunFor(sim::Duration::Seconds(1));
+  net.router.Restart();
+  send("after the restart");
+  EXPECT_EQ(got, (std::vector<std::string>{"before the crash", "after the restart"}));
+  EXPECT_EQ(net.router.host().metrics().counter("ip.forwarded").value(), 2u);
 }
 
 TEST(MultiHome, BaselineOsRouterAlsoForwards) {

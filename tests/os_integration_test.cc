@@ -245,5 +245,98 @@ TEST(OsIntegration, ChecksumOffIsFasterOnWire) {
   EXPECT_EQ(got, 1);
 }
 
+// --- socket lifetime: the process drops a socket with work still queued ----
+//
+// A call the process issued before dropping the socket completes; a wakeup
+// for a socket the process has dropped is still charged but delivers
+// nothing.
+
+std::uint64_t OsCounter(SocketHost& h, const std::string& name) {
+  return h.host().metrics().counter(name).value();
+}
+
+// Runs in steps shorter than the scheduler wakeup delay until `counter` on
+// `h` moves past `from`, so the test can act between a wakeup being queued
+// and it running.
+void RunUntilCounterMoves(TwoOsHosts& net, SocketHost& h, const std::string& counter,
+                          std::uint64_t from) {
+  for (int i = 0; i < 200000 && OsCounter(h, counter) == from; ++i) {
+    net.RunFor(sim::Duration::Micros(5));
+  }
+  ASSERT_GT(OsCounter(h, counter), from);
+}
+
+TEST(OsIntegration, DroppedTcpSocketCompletesItsQueuedWriteAndClose) {
+  TwoOsHosts net;
+  std::string server_got;
+  int server_eofs = 0;
+  std::shared_ptr<TcpSocket> server_sock;
+  TcpListener listener(net.beta, 80, [&](std::shared_ptr<TcpSocket> s) {
+    server_sock = s;
+    s->SetOnData([&](std::span<const std::byte> d) {
+      server_got.append(reinterpret_cast<const char*>(d.data()), d.size());
+    });
+    s->SetOnClose([&] { ++server_eofs; });
+  });
+  auto client = TcpSocket::Connect(net.alpha, net::Ipv4Address(10, 0, 0, 2), 80);
+  net.RunFor(sim::Duration::Seconds(1));
+  ASSERT_EQ(client->connection().state(), proto::TcpConnection::State::kEstablished);
+
+  // write(2) and close(2) are both still queued behind the trap when the
+  // process drops its last reference.
+  client->WriteString("hello");
+  client->CloseStream();
+  client.reset();
+  net.RunFor(sim::Duration::Seconds(2));
+  EXPECT_EQ(server_got, "hello");
+  EXPECT_EQ(server_eofs, 1);
+}
+
+TEST(OsIntegration, DroppedUdpSocketStillSendsQueuedDatagrams) {
+  TwoOsHosts net;
+  UdpSocket rx(net.beta, 6000);
+  std::vector<std::string> got;
+  rx.SetOnDatagram([&](std::vector<std::byte> data, const proto::UdpDatagram&) {
+    got.emplace_back(reinterpret_cast<const char*>(data.data()), data.size());
+  });
+  auto tx = std::make_unique<UdpSocket>(net.alpha, 5000);
+  tx->SendTo("first", net::Ipv4Address(10, 0, 0, 2), 6000);
+  tx->SendTo("second", net::Ipv4Address(10, 0, 0, 2), 6000);
+  tx.reset();
+  net.RunFor(sim::Duration::Seconds(1));
+  EXPECT_EQ(got, (std::vector<std::string>{"first", "second"}));
+}
+
+TEST(OsIntegration, DroppedUdpSocketWakeupIsChargedButDeliversNothing) {
+  TwoOsHosts net;
+  auto rx = std::make_unique<UdpSocket>(net.beta, 6000);
+  int delivered = 0;
+  rx->SetOnDatagram([&](std::vector<std::byte>, const proto::UdpDatagram&) { ++delivered; });
+  UdpSocket tx(net.alpha, 5000);
+  tx.SendTo("orphan", net::Ipv4Address(10, 0, 0, 2), 6000);
+  RunUntilCounterMoves(net, net.beta, "os.sched_wakeups", 0);
+  ASSERT_EQ(OsCounter(net.beta, "os.context_switches"), 0u);
+
+  rx.reset();  // the wakeup is queued but has not run
+  net.RunFor(sim::Duration::Seconds(1));
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(OsCounter(net.beta, "os.context_switches"), 1u);
+  EXPECT_EQ(OsCounter(net.beta, "os.copyout_bytes"), 6u);
+}
+
+TEST(OsIntegration, DroppedListenerAcceptWakeupDeliversNothing) {
+  TwoOsHosts net;
+  int accepted = 0;
+  auto listener = std::make_unique<TcpListener>(
+      net.beta, 80, [&](std::shared_ptr<TcpSocket>) { ++accepted; });
+  auto client = TcpSocket::Connect(net.alpha, net::Ipv4Address(10, 0, 0, 2), 80);
+  RunUntilCounterMoves(net, net.beta, "os.sched_wakeups", 0);
+
+  listener.reset();  // accept(2)'s wakeup is queued but has not run
+  net.RunFor(sim::Duration::Seconds(1));
+  EXPECT_EQ(accepted, 0);
+  EXPECT_EQ(OsCounter(net.beta, "os.context_switches"), 1u);
+}
+
 }  // namespace
 }  // namespace os

@@ -85,22 +85,19 @@ TEST(MbufPool, TryCopyCopiesPacketHeaderAndChargesNewSegments) {
 
 TEST(MbufPool, HooksReportOccupancyAndExhaustion) {
   net::MbufPool pool(1);
-  std::size_t last_in_use = 99, last_peak = 99;
+  std::int64_t last_in_use = 99, last_peak = 99;
   int exhausted = 0;
-  pool.SetOccupancyHook([&](std::size_t in_use, std::size_t peak) {
-    last_in_use = in_use;
-    last_peak = peak;
-  });
+  pool.SetOccupancyGauges(&last_in_use, &last_peak);
   pool.SetExhaustionHook([&] { ++exhausted; });
   auto m = pool.TryAllocate(16);
   ASSERT_NE(m, nullptr);
-  EXPECT_EQ(last_in_use, 1u);
-  EXPECT_EQ(last_peak, 1u);
+  EXPECT_EQ(last_in_use, 1);
+  EXPECT_EQ(last_peak, 1);
   EXPECT_EQ(pool.TryAllocate(16), nullptr);
   EXPECT_EQ(exhausted, 1);
   m.reset();
-  EXPECT_EQ(last_in_use, 0u);
-  EXPECT_EQ(last_peak, 1u);
+  EXPECT_EQ(last_in_use, 0);
+  EXPECT_EQ(last_peak, 1);
 }
 
 TEST(MbufPool, BuffersOutliveTheirPool) {

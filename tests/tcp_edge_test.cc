@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,22 +74,7 @@ struct DemuxPipe {
   void WireRstSender() {
     demux.SetRstSender([this](const net::TcpHeader& hdr, net::Ipv4Address src,
                               net::Ipv4Address dst, std::size_t payload_len) {
-      net::TcpHeader rst;
-      rst.src_port = hdr.dst_port;
-      rst.dst_port = hdr.src_port;
-      rst.flags = net::tcpflag::kRst;
-      if (hdr.flags & net::tcpflag::kAck) {
-        rst.seq = hdr.ack;
-      } else {
-        rst.flags |= net::tcpflag::kAck;
-        rst.ack = hdr.seq.value() + static_cast<std::uint32_t>(payload_len) +
-                  ((hdr.flags & net::tcpflag::kSyn) ? 1 : 0);
-      }
-      rst.checksum = 0;
-      auto m = net::Mbuf::Allocate(sizeof(rst));
-      net::StorePacket(*m, rst);
-      rst.checksum = TransportChecksum(dst, src, net::ipproto::kTcp, *m);
-      net::StorePacket(*m, rst);
+      auto m = MakeRst(nullptr, hdr, src, dst, payload_len);
       auto shared = std::shared_ptr<net::Mbuf>(m.release());
       sim.Schedule(delay, [this, shared, src] {
         client_host.Submit(sim::Priority::kKernel, [this, shared, src] {
@@ -328,6 +314,76 @@ TEST(TcpEdge, MssOptionWithLeadingNopsParsed) {
   sim.RunFor(sim::Duration::Millis(10));
   EXPECT_EQ(server.state(), State::kSynReceived);
   EXPECT_EQ(server.effective_mss(), 512u);
+}
+
+// A SYN from the client whose option block is `options` (a multiple of
+// four bytes).
+net::MbufPtr SynWithOptions(const std::vector<std::uint8_t>& options) {
+  const std::size_t hdr_len = sizeof(net::TcpHeader) + options.size();
+  auto m = net::Mbuf::Allocate(hdr_len);
+  net::TcpHeader hdr;
+  hdr.src_port = 1000;
+  hdr.dst_port = 80;
+  hdr.seq = 7777;
+  hdr.flags = net::tcpflag::kSyn;
+  hdr.set_header_length(hdr_len);
+  hdr.window = 4096;
+  net::StorePacket(*m, hdr);
+  std::vector<std::byte> bytes;
+  for (std::uint8_t b : options) bytes.push_back(std::byte{b});
+  m->CopyIn(sizeof(hdr), bytes);
+  hdr.checksum = TransportChecksum(kClientIp, kServerIp, net::ipproto::kTcp, *m);
+  net::StorePacket(*m, hdr);
+  return m;
+}
+
+TEST(TcpEdge, MssOptionReaderToleratesMalformedOptionBlocks) {
+  // One reader serves both consumers: a listening connection's SYN
+  // processing (effective MSS, 1460 unless the peer offers less) and the
+  // demux's SYN cookie (the index of the largest cookie-table MSS not above
+  // the offer: 0 = 536, 1 = 1220, 2 = 1460).
+  struct Case {
+    const char* what;
+    std::vector<std::uint8_t> options;
+    std::size_t mss;  // what the reader finds; 0 = no usable option
+    std::uint32_t cookie_mss_index;
+  };
+  const Case cases[] = {
+      {"EOL before MSS", {0, 1, 1, 1, 2, 4, 0x04, 0xc4}, 0, 0},
+      {"option length 0", {2, 0, 2, 4, 0x04, 0xc4, 0, 0}, 0, 0},
+      {"option length 1", {2, 1, 2, 4, 0x04, 0xc4, 0, 0}, 0, 0},
+      {"length overruns the header", {8, 10, 1, 1, 2, 4, 0x04, 0xc4}, 0, 0},
+      {"MSS of length 3 is skipped", {2, 3, 0x05, 2, 4, 0x05, 0x14, 0}, 1300, 1},
+      {"MSS of length 5 is skipped", {2, 5, 0x05, 0xb4, 0, 2, 4, 0x02, 0x00, 0, 0, 0}, 512, 0},
+      {"MSS as the last option", {1, 1, 1, 1, 2, 4, 0x04, 0xc4}, 1220, 1},
+      {"MSS cut off by the header end", {1, 1, 2, 4}, 0, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const auto syn = SynWithOptions(c.options);
+    EXPECT_EQ(ParseMssOption(*syn, net::ViewPacket<net::TcpHeader>(*syn)), c.mss);
+
+    sim::Simulator sim;
+    sim::Host host(sim, "h", sim::CostModel::Default1996());
+    TcpConnection server(host, TcpConfig{}, TcpEndpoints{kServerIp, 80, kClientIp, 1000}, {});
+    TcpDemux demux;
+    demux.AttachHost(&host);
+    std::optional<Seq> cookie;
+    demux.SetSynAckSender([&](const TcpEndpoints&, Seq iss, Seq) { cookie = iss; });
+    demux.Listen(
+        80, [](const TcpEndpoints&) -> TcpConnection* { return nullptr; },
+        ListenOptions{0, SynCookies::kAlways});
+    host.Submit(sim::Priority::kKernel, [&] {
+      server.Listen();
+      server.Input(SynWithOptions(c.options), kClientIp, kServerIp);
+      demux.Input(SynWithOptions(c.options), kClientIp, kServerIp);
+    });
+    sim.RunFor(sim::Duration::Millis(10));
+    EXPECT_EQ(server.state(), State::kSynReceived);
+    EXPECT_EQ(server.effective_mss(), c.mss > 0 ? std::min<std::size_t>(c.mss, 1460) : 1460);
+    ASSERT_TRUE(cookie.has_value());
+    EXPECT_EQ((*cookie >> 24) & 7u, c.cookie_mss_index);
+  }
 }
 
 TEST(TcpEdge, DelayedAckCoalescesSegments) {
