@@ -21,7 +21,6 @@
 
 #include "bench/bench_common.h"
 
-#include "sim/batch.h"
 #include "sim/cost_model.h"
 #include "sim/host.h"
 #include "sim/profiler.h"
@@ -379,8 +378,6 @@ double SimulatedNsPerPacket(bool batched, int burst) {
 // prints wall-clock per packet — the host-machine cost of the partition
 // bookkeeping itself — which is informational, not gated.
 int RunBatchDispatch(bench::JsonReporter& reporter) {
-  const bool prev = sim::BatchConfig::enabled();
-  sim::BatchConfig::SetEnabled(true);
   std::printf("\nbatched dispatch (one flow, RaiseBatch vs per-packet Raise):\n");
   std::printf("  %6s | %14s %14s %8s | %12s\n", "burst", "per-pkt sim-ns",
               "batched sim-ns", "speedup", "batched wall");
@@ -413,7 +410,6 @@ int RunBatchDispatch(bench::JsonReporter& reporter) {
                      ",\"wall_ns_per_pkt\":" + std::to_string(wall) + "}";
     reporter.Add(std::move(r));
   }
-  sim::BatchConfig::SetEnabled(prev);
   if (ratio_16 < 2.0) {
     std::fprintf(stderr, "FAIL: batched dispatch at burst 16 is only %.2fx the "
                          "per-packet path (gate: >=2x) — amortization is not "

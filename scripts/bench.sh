@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Builds the benchmarks and produces the machine-readable results:
+# Builds the benchmarks and writes the machine-readable results into
+# bench-out/ (gitignored; OUT_DIR=<dir> writes elsewhere). None of them is
+# committed: the gated baselines live in bench/baselines/.
 #   BENCH_fig5.json        Figure 5 UDP RTT cells (paper-expected vs measured,
-#                          per-host metrics, per-layer CPU breakdown)
+#                          per-host metrics, CPU breakdown by trace category)
 #   BENCH_tab1.json        Section 4.2 TCP throughput cells
 #   BENCH_fig5_trace.json  Chrome trace of the traced Ethernet ping-pong
 #                          (open in chrome://tracing or Perfetto)
@@ -34,7 +36,8 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
-OUT_DIR="${OUT_DIR:-.}"
+OUT_DIR="${OUT_DIR:-bench-out}"
+mkdir -p "$OUT_DIR"
 
 # Run provenance for the plexus-bench-v1 meta block: every reporter stamps
 # the git SHA it was produced from (falls back to "unknown" outside a repo).

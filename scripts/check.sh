@@ -71,7 +71,7 @@ PLEXUS_SLAB=off ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure "$@"
 
 echo "=== seventh pass: batched packet path disabled (PLEXUS_BATCH=off) ==="
 # The off-gate identity: with batching off the NIC delivers one frame per
-# interrupt, RaiseBatch degrades to the per-item loop, and GRO/GSO never
+# interrupt, so no batch scope opens, no RaiseBatch runs, and GRO/GSO never
 # engage. The whole tier-1 suite must behave exactly as the per-packet
 # engine did, still under the sanitizers.
 PLEXUS_BATCH=off ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure "$@"

@@ -23,10 +23,45 @@ void ApplyAppFaultPolicy(spin::HandlerOptions& opts) {
 
 }  // namespace
 
+// --- GraphEdge -----------------------------------------------------------------
+
+template <typename Hdr>
+void GraphEdge<Hdr>::Push(net::MbufPtr packet, const Hdr& hdr) {
+  if (!plexus_.batch_active()) {
+    // The hop's GraphFn is move-only, so the buffer rides in the capture as
+    // a plain MbufPtr — no shared_ptr control-block allocation per packet.
+    plexus_.GraphHop([this, ref = std::move(packet), hdr] { event_.Raise(*ref, hdr); },
+                     sheddable_);
+    return;
+  }
+  if (pending_.empty()) {
+    plexus_.AddBatchFlush([this](bool deliver) { Flush(deliver); },
+                          [this] { return pending_.size(); });
+  }
+  pending_.emplace_back(std::move(packet), hdr);
+}
+
+template <typename Hdr>
+void GraphEdge<Hdr>::Flush(bool deliver) {
+  auto burst = std::move(pending_);
+  pending_.clear();
+  // Shed: the parked packets die here, before any graph work — the batch
+  // analogue of refusing a packet's per-packet hop at Admit().
+  if (!deliver) return;
+  event_.RaiseBatch(burst, [](std::pair<net::MbufPtr, Hdr>& p) {
+    return std::forward_as_tuple(*p.first, p.second);
+  });
+  if (after_burst_) after_burst_();
+}
+
 // --- EthernetManager ---------------------------------------------------------
 
+// The edge from the driver is the only sheddable hop in the graph (nothing
+// has been invested in the frame yet beyond driver receive work).
 EthernetManager::EthernetManager(PlexusHost& plexus, proto::EthLayer& eth)
-    : plexus_(plexus), eth_(eth), packet_recv_("Ethernet.PacketRecv", &plexus.dispatcher()) {
+    : eth_(eth),
+      packet_recv_("Ethernet.PacketRecv", &plexus.dispatcher()),
+      edge_(plexus, packet_recv_, /*sheddable=*/true) {
   packet_recv_.set_requires_ephemeral(plexus.requires_ephemeral());
   // Guard compilation: Ethernet.PacketRecv demultiplexes on the EtherType.
   // The header is already parsed by the time the event is raised, so the
@@ -35,39 +70,6 @@ EthernetManager::EthernetManager(PlexusHost& plexus, proto::EthLayer& eth)
                            [](const net::Mbuf&, const net::EthernetHeader& hdr) {
                              return std::optional<std::uint64_t>(hdr.type.value());
                            });
-}
-
-// The driver-edge hop: the only sheddable raise in the graph (nothing has
-// been invested in the frame yet beyond driver receive work).
-void EthernetManager::OnFrame(net::MbufPtr frame, const net::EthernetHeader& hdr) {
-  if (plexus_.batch_active()) {
-    EnqueueBatched(std::move(frame), hdr);
-    return;
-  }
-  // The hop's GraphFn is move-only, so the buffer rides in the capture as a
-  // plain MbufPtr — no shared_ptr control-block allocation per frame.
-  plexus_.GraphHop(
-      [this, ref = std::move(frame), hdr] { packet_recv_.Raise(*ref, hdr); },
-      /*sheddable=*/true);
-}
-
-void EthernetManager::EnqueueBatched(net::MbufPtr frame, const net::EthernetHeader& hdr) {
-  if (pending_.empty()) {
-    plexus_.AddBatchFlush([this](bool deliver) { FlushBatched(deliver); },
-                          [this] { return pending_.size(); });
-  }
-  pending_.emplace_back(std::move(frame), hdr);
-}
-
-void EthernetManager::FlushBatched(bool deliver) {
-  auto burst = std::move(pending_);
-  pending_.clear();
-  // Shed: the parked frames die here, before any graph work — the batch
-  // analogue of refusing the frame's per-packet hop at Admit().
-  if (!deliver) return;
-  packet_recv_.RaiseBatch(burst, [](std::pair<net::MbufPtr, net::EthernetHeader>& p) {
-    return std::forward_as_tuple(*p.first, p.second);
-  });
 }
 
 spin::Result<spin::HandlerId> EthernetManager::InstallTypeHandler(
@@ -124,7 +126,10 @@ void EthernetManager::Output(net::MbufPtr payload, net::MacAddress dst,
 // --- IpManager ---------------------------------------------------------------
 
 IpManager::IpManager(PlexusHost& plexus, proto::Ipv4Layer& ip)
-    : plexus_(plexus), ip_(ip), packet_recv_("Ip.PacketRecv", &plexus.dispatcher()) {
+    : plexus_(plexus),
+      ip_(ip),
+      packet_recv_("Ip.PacketRecv", &plexus.dispatcher()),
+      edge_(plexus, packet_recv_, /*sheddable=*/false) {
   packet_recv_.set_requires_ephemeral(plexus.requires_ephemeral());
   // Ip.PacketRecv demultiplexes on the IP protocol number.
   packet_recv_.SetDemuxKey("ip.protocol", [](const net::Mbuf&, const net::Ipv4Header& hdr) {
@@ -157,23 +162,6 @@ spin::Result<spin::HandlerId> IpManager::InstallProtocolHandler(
 }
 
 bool IpManager::Uninstall(spin::HandlerId id) { return packet_recv_.Uninstall(id); }
-
-void IpManager::EnqueueBatched(net::MbufPtr payload, const net::Ipv4Header& hdr) {
-  if (pending_.empty()) {
-    plexus_.AddBatchFlush([this](bool deliver) { FlushBatched(deliver); },
-                          [this] { return pending_.size(); });
-  }
-  pending_.emplace_back(std::move(payload), hdr);
-}
-
-void IpManager::FlushBatched(bool deliver) {
-  auto burst = std::move(pending_);
-  pending_.clear();
-  if (!deliver) return;
-  packet_recv_.RaiseBatch(burst, [](std::pair<net::MbufPtr, net::Ipv4Header>& p) {
-    return std::forward_as_tuple(*p.first, p.second);
-  });
-}
 
 void IpManager::Reinject(net::MbufPtr packet, net::Ipv4Address dst) {
   auto route = ip_.routes().Lookup(dst);
@@ -273,7 +261,12 @@ PlexusTcpEndpoint::PlexusTcpEndpoint(PlexusHost& plexus, proto::TcpEndpoints ep)
     : TcpStream(plexus, plexus.tcp().demux(), plexus.tcp().config(), ep) {}
 
 TcpManager::TcpManager(PlexusHost& plexus, proto::TcpConfig config)
-    : plexus_(plexus), config_(config), packet_recv_("Tcp.PacketRecv", &plexus.dispatcher()) {
+    : plexus_(plexus),
+      config_(config),
+      packet_recv_("Tcp.PacketRecv", &plexus.dispatcher()),
+      // Burst end is a GRO flush boundary: nothing may stay parked once the
+      // burst's segments have all been dispatched.
+      edge_(plexus, packet_recv_, /*sheddable=*/false, [this] { gro_->FlushAll(); }) {
   packet_recv_.set_requires_ephemeral(plexus.requires_ephemeral());
   // Tcp.PacketRecv demultiplexes on the segment's destination port, parsed
   // from the packet once per raise. A truncated segment yields nullopt:
@@ -319,7 +312,7 @@ TcpManager::TcpManager(PlexusHost& plexus, proto::TcpConfig config)
         demux_.Input(std::move(merged), src, dst);
       });
   auto standard_handler = [this](const net::Mbuf& segment, const net::Ipv4Header& ip_hdr) {
-    if (gro_enabled_ && plexus_.batch_active() && sim::BatchConfig::enabled()) {
+    if (gro_enabled_ && plexus_.batch_active()) {
       gro_->Push(segment.ShareClone(), ip_hdr.src, ip_hdr.dst);
       return;
     }
@@ -365,26 +358,6 @@ TcpManager::TcpManager(PlexusHost& plexus, proto::TcpConfig config)
     net::StorePacket(*m, hdr);
     plexus_.ip().Output(std::move(m), ep.remote_ip, net::ipproto::kTcp, ep.local_ip);
   });
-}
-
-void TcpManager::EnqueueBatched(net::MbufPtr segment, const net::Ipv4Header& hdr) {
-  if (pending_.empty()) {
-    plexus_.AddBatchFlush([this](bool deliver) { FlushBatched(deliver); },
-                          [this] { return pending_.size(); });
-  }
-  pending_.emplace_back(std::move(segment), hdr);
-}
-
-void TcpManager::FlushBatched(bool deliver) {
-  auto burst = std::move(pending_);
-  pending_.clear();
-  if (!deliver) return;
-  packet_recv_.RaiseBatch(burst, [](std::pair<net::MbufPtr, net::Ipv4Header>& p) {
-    return std::forward_as_tuple(*p.first, p.second);
-  });
-  // Batch end is a GRO flush boundary: nothing may stay parked once the
-  // burst's segments have all been dispatched.
-  gro_->FlushAll();
 }
 
 bool TcpManager::IsSpecialPort(std::uint16_t port) const {
@@ -545,9 +518,9 @@ PlexusHost::PlexusHost(sim::Simulator& s, std::string name, sim::CostModel costs
   // its graph hops.
   SetFrameHandlers(
       [this](net::MbufPtr frame, const net::EthernetHeader& hdr) {
-        eth_mgr_->OnFrame(std::move(frame), hdr);
+        eth_mgr_->edge_.Push(std::move(frame), hdr);
       },
-      [this](std::size_t) { OpenBatchScope(); }, [this] { CloseBatchScope(/*sheddable=*/true); });
+      [this] { OpenBatchScope(); }, [this] { CloseBatchScope(/*sheddable=*/true); });
   BuildGraph();
 
   // Protection domains. The kernel domain exports everything; applications
@@ -760,7 +733,7 @@ void PlexusHost::GraphHop(GraphFn raise, bool sheddable) {
   // Thread mode: "each event raise creating a new thread". The backlog of
   // spawned-but-not-run threads is bounded; past the watermark the newest
   // driver-edge work is shed before any CPU is spent on it.
-  if (!deferred_.Admit(sheddable)) return;
+  if (!deferred_.Admit(1, sheddable)) return;
   host_.Charge(host_.costs().thread_spawn);
   host_.Submit(sim::Priority::kThread, [this, raise = std::move(raise)] {
     PLEXUS_PROFILE_SCOPE(kDeferredHop);
@@ -802,7 +775,7 @@ void PlexusHost::CloseBatchScope(bool sheddable) {
     CloseBatchScope(/*sheddable=*/false);
     return;
   }
-  if (!deferred_.AdmitBurst(frames, sheddable)) {
+  if (!deferred_.Admit(frames, sheddable)) {
     for (BatchFlushEntry& f : flushes) f.flush(false);
     return;
   }
@@ -877,13 +850,7 @@ void PlexusHost::WireGraph() {
 
   // --- IP glue ---------------------------------------------------------------
   ip_layer().SetDeliver([this](net::MbufPtr payload, const net::Ipv4Header& hdr) {
-    if (batch_active_) {
-      ip_mgr_->EnqueueBatched(std::move(payload), hdr);
-      return;
-    }
-    GraphHop([this, ref = std::move(payload), hdr] {
-      ip_mgr_->packet_recv().Raise(*ref, hdr);
-    });
+    ip_mgr_->edge_.Push(std::move(payload), hdr);
   });
 
   // --- IP level: ICMP, UDP, TCP ----------------------------------------------
@@ -919,13 +886,7 @@ void PlexusHost::WireGraph() {
     opts.name = "tcp-input";
     auto r = ip_mgr_->packet_recv().InstallKeyed(
         [this](const net::Mbuf& payload, const net::Ipv4Header& hdr) {
-          if (batch_active_) {
-            tcp_mgr_->EnqueueBatched(payload.ShareClone(), hdr);
-            return;
-          }
-          GraphHop([this, ref = payload.ShareClone(), hdr] {
-            tcp_mgr_->packet_recv().Raise(*ref, hdr);
-          });
+          tcp_mgr_->edge_.Push(payload.ShareClone(), hdr);
         },
         net::ipproto::kTcp, nullptr, opts);
     assert(r.ok());

@@ -81,6 +81,39 @@ using TcpRecvEvent = spin::Event<const net::Mbuf&, const net::Ipv4Header&>;
 
 class PlexusHost;
 
+// One edge up the protocol graph: a layer handing a packet to the next
+// layer's PacketRecv event. Outside a batch scope each packet takes its own
+// GraphHop and Raise. Inside one the edge parks the packet and registers
+// one flush for the scope, so the burst rides one coalesced hop and one
+// RaiseBatch; `after_burst` runs once the whole burst has been dispatched.
+template <typename Hdr>
+class GraphEdge {
+ public:
+  using RecvEvent = spin::Event<const net::Mbuf&, const Hdr&>;
+
+  GraphEdge(PlexusHost& plexus, RecvEvent& event, bool sheddable,
+            std::function<void()> after_burst = nullptr)
+      : plexus_(plexus),
+        event_(event),
+        sheddable_(sheddable),
+        after_burst_(std::move(after_burst)) {}
+  // Parked hops and flushes hold `this`.
+  GraphEdge(const GraphEdge&) = delete;
+  GraphEdge& operator=(const GraphEdge&) = delete;
+
+  void Push(net::MbufPtr packet, const Hdr& hdr);
+
+ private:
+  // flush(false): the deferred queue shed the burst.
+  void Flush(bool deliver);
+
+  PlexusHost& plexus_;
+  RecvEvent& event_;
+  const bool sheddable_;
+  std::function<void()> after_burst_;
+  std::vector<std::pair<net::MbufPtr, Hdr>> pending_;
+};
+
 // ---------------------------------------------------------------------------
 // Protocol managers. "Access to these events is controlled by a
 // protocol-specific manager, which ensures that applications neither spoof
@@ -138,16 +171,10 @@ class EthernetManager {
 
  private:
   friend class PlexusHost;
-  void OnFrame(net::MbufPtr frame, const net::EthernetHeader& hdr);
-  // Batch scope active: park the frame; the whole burst rides one deferred
-  // hop and one RaiseBatch instead of a hop + raise per frame.
-  void EnqueueBatched(net::MbufPtr frame, const net::EthernetHeader& hdr);
-  void FlushBatched(bool deliver);
 
-  PlexusHost& plexus_;
   proto::EthLayer& eth_;
   EthernetRecvEvent packet_recv_;
-  std::vector<std::pair<net::MbufPtr, net::EthernetHeader>> pending_;
+  GraphEdge<net::EthernetHeader> edge_;  // driver -> packet_recv_
 };
 
 // IP manager: validates/reassembles via the shared Ipv4Layer, then raises
@@ -182,13 +209,11 @@ class IpManager {
 
  private:
   friend class PlexusHost;
-  void EnqueueBatched(net::MbufPtr payload, const net::Ipv4Header& hdr);
-  void FlushBatched(bool deliver);
 
   PlexusHost& plexus_;
   proto::Ipv4Layer& ip_;
   IpRecvEvent packet_recv_;
-  std::vector<std::pair<net::MbufPtr, net::Ipv4Header>> pending_;
+  GraphEdge<net::Ipv4Header> edge_;  // IP input -> packet_recv_
 };
 
 // A UDP communication right: created by the UDP manager for one local port.
@@ -324,9 +349,9 @@ class TcpManager {
   void set_config(const proto::TcpConfig& c) { config_ = c; }
 
   // The receive coalescer at the demux edge. Active only inside a batch
-  // scope with batching enabled; set_gro_enabled(false) bypasses it (the
-  // burst still coalesces its hops, segments just reach the demux one by
-  // one).
+  // scope, which only a NIC rx burst opens; set_gro_enabled(false) bypasses
+  // it (the burst still coalesces its hops, segments just reach the demux
+  // one by one).
   proto::GroEngine& gro() { return *gro_; }
   void set_gro_enabled(bool v) { gro_enabled_ = v; }
   bool gro_enabled() const { return gro_enabled_; }
@@ -345,8 +370,6 @@ class TcpManager {
 
   void WireConnection(const std::shared_ptr<PlexusTcpEndpoint>& ep);
   bool IsSpecialPort(std::uint16_t port) const;
-  void EnqueueBatched(net::MbufPtr segment, const net::Ipv4Header& hdr);
-  void FlushBatched(bool deliver);
   // Amortized reap of closed connections from accepted_ (a server that
   // churns short connections must not grow the keep-alive list forever).
   void SweepAccepted();
@@ -355,9 +378,9 @@ class TcpManager {
   proto::TcpConfig config_;
   proto::TcpDemux demux_;
   TcpRecvEvent packet_recv_;
+  GraphEdge<net::Ipv4Header> edge_;  // Ip.PacketRecv -> packet_recv_
   std::unique_ptr<proto::GroEngine> gro_;
   bool gro_enabled_ = true;
-  std::vector<std::pair<net::MbufPtr, net::Ipv4Header>> pending_;
   std::map<std::uint16_t, Acceptor> acceptors_;
   std::vector<std::shared_ptr<PlexusTcpEndpoint>> accepted_;  // keep-alive
   std::vector<std::weak_ptr<PlexusTcpEndpoint>> wired_;  // for crash teardown
@@ -415,15 +438,15 @@ class PlexusHost : public proto::HostStack {
   //
   // While an rx burst is being delivered (and again while each coalesced
   // hop task runs), a batch scope is active: GraphHop parks its raise
-  // instead of spawning a thread, and accumulating hop sites (the
-  // Ethernet/IP/TCP managers) park per-packet work and register ONE flush
-  // for the scope. Closing the scope admits the whole group as a single
+  // instead of spawning a thread, and the graph edges (eth, ip, tcp) park
+  // per-packet work and register ONE flush for the scope. Closing the scope admits the whole group as a single
   // deferred-queue unit (CostModel::batch_hop once + batch_frame per
   // carried packet, instead of thread_spawn + thread_handoff per packet)
   // and runs it in one thread-priority task — under a fresh scope, so the
   // burst travels the graph one coalesced hop per layer, preserving the
-  // per-packet path's layer-by-layer interleave order. With PLEXUS_BATCH
-  // off no scope ever opens and every hop takes the per-packet path.
+  // per-packet path's layer-by-layer interleave order. Only a NIC rx burst
+  // opens a scope, so with PLEXUS_BATCH off none ever opens and every hop
+  // takes the per-packet path.
   bool batch_active() const { return batch_active_; }
   // Registers a flush for the current scope (call once, on the first
   // parked packet). `flush(true)` delivers the parked packets, `flush(false)`

@@ -5,6 +5,7 @@
 #include "net/headers.h"
 #include "net/mbuf_pool.h"
 #include "net/view.h"
+#include "sim/batch.h"
 
 namespace drivers {
 
@@ -164,7 +165,7 @@ void Nic::RxInterrupt() {
   // stalled, or spurious (the poll loop already consumed the frame): a
   // free no-op.
   if (polling_ || stalled_ || rx_ring_.empty()) return;
-  if (batch_rx_callback_ && sim::BatchConfig::enabled() && rx_ring_.size() > 1) {
+  if (BurstReady()) {
     // Frames accumulated behind this interrupt (the CPU was busy, or
     // several arrived at one instant): drain them as one burst. A lone
     // frame takes the per-packet path below — byte-identical to the
@@ -192,6 +193,10 @@ void Nic::DeliverOne(bool polled) {
   host_.Charge(profile_.RxCpuCost(len));
   if (rx_callback_) rx_callback_(std::move(buf));
   if (!polled) host_.Charge(cm.interrupt_exit);
+}
+
+bool Nic::BurstReady() const {
+  return batch_rx_callback_ && sim::BatchConfig::enabled() && rx_ring_.size() > 1;
 }
 
 void Nic::DeliverBurst(bool polled, std::size_t max_frames) {
@@ -264,7 +269,7 @@ void Nic::PollTask() {
   sim::TraceSpan span(host_, "nic.poll", "driver");
   host_.Charge(host_.costs().poll_entry);
   const std::size_t quota = profile_.poll_quota > 0 ? profile_.poll_quota : 1;
-  if (batch_rx_callback_ && sim::BatchConfig::enabled() && rx_ring_.size() > 1) {
+  if (BurstReady()) {
     // One quota-bounded burst per poll pass: the pass's frames travel the
     // graph as a single deferred-queue hop instead of one hop each.
     DeliverBurst(/*polled=*/true, quota);

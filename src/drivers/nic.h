@@ -38,7 +38,6 @@
 #include "net/address.h"
 #include "net/mbuf.h"
 #include "net/mbuf_batch.h"
-#include "sim/batch.h"
 #include "sim/host.h"
 
 namespace drivers {
@@ -144,6 +143,10 @@ class Nic {
   // Delivers the ring's head frame through the callback. The polled path
   // skips interrupt entry/exit — that is the entire point of the switch.
   void DeliverOne(bool polled);
+  // Whether this rx service pass drains a burst instead of one frame: the
+  // batch callback is set, batching is on, and more than one frame waits.
+  // The one place the batch gate decides where bursts form.
+  bool BurstReady() const;
   // Drains up to max_frames off the ring into one MbufBatch and hands it
   // to the batch callback: interrupt entry/exit and the upcall are paid
   // once for the whole burst, per-frame work (descriptor pop + driver rx

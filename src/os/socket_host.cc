@@ -11,13 +11,11 @@ SocketHost::SocketHost(sim::Simulator& s, std::string name, sim::CostModel costs
   // not a guard chain.
   //
   // Under the batched packet path the shared driver delivers NAPI-style rx
-  // bursts to this kernel too (one interrupt, many frames) — a monolithic
-  // kernel amortizes interrupts the same way, so the comparison stays
-  // controlled at the driver edge. Everything above it (hard-wired demux,
-  // wakeup, context switch, copyout) remains strictly per-packet; the hooks
-  // only account for the bursts. Counters are registered lazily so a run
-  // that never sees a burst has a metrics snapshot identical to pre-batch
-  // builds.
+  // bursts to this kernel too (one interrupt, many frames; the NIC counts
+  // them) — a monolithic kernel amortizes interrupts the same way, so the
+  // comparison stays controlled at the driver edge. Everything above it
+  // (hard-wired demux, wakeup, context switch, copyout) remains strictly
+  // per-packet, so no burst hooks are installed.
   SetFrameHandlers(
       [this](net::MbufPtr frame, const net::EthernetHeader& hdr) {
         const int if_index = IfIndexForRcvif(frame->pkthdr().rcvif);
@@ -33,15 +31,7 @@ SocketHost::SocketHost(sim::Simulator& s, std::string name, sim::CostModel costs
             break;  // monolithic kernel: unknown types are silently dropped
         }
       },
-      [this](std::size_t frames) {
-        if (rx_bursts_ == nullptr) {
-          rx_bursts_ = &host_.metrics().counter("os.rx_bursts");
-          rx_burst_frames_ = &host_.metrics().counter("os.rx_burst_frames");
-        }
-        rx_bursts_->Inc();
-        rx_burst_frames_->Inc(frames);
-      },
-      nullptr);
+      nullptr, nullptr);
 
   ip_layer().SetDeliver([this](net::MbufPtr payload, const net::Ipv4Header& hdr) {
     switch (hdr.protocol) {

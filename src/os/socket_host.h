@@ -57,10 +57,6 @@ class SocketHost : public proto::HostStack {
   sim::Counter& copyout_bytes_ = host_.metrics().counter("os.copyout_bytes");
   sim::Counter& context_switches_ = host_.metrics().counter("os.context_switches");
   sim::Counter& sched_wakeups_ = host_.metrics().counter("os.sched_wakeups");
-  // NAPI burst accounting (lazy: only materializes when batching delivers
-  // a burst, keeping per-packet-mode metric snapshots unchanged).
-  sim::Counter* rx_bursts_ = nullptr;
-  sim::Counter* rx_burst_frames_ = nullptr;
   proto::TcpDemux tcp_demux_;
   proto::TcpConfig tcp_config_;
 };

@@ -28,11 +28,10 @@ class EthLayer {
   // already been parsed for convenience but not stripped.
   using Upcall = std::function<void(net::MbufPtr frame, const net::EthernetHeader& hdr)>;
   // Bracket an rx burst delivered through the batch callback: begin fires
-  // before the first frame's Input (with the burst size), end after the
-  // last. The protocol graph uses them to open/close a batch scope in
-  // which per-frame hops coalesce into one deferred-queue hop.
-  using BatchBeginHook = std::function<void(std::size_t frames)>;
-  using BatchEndHook = std::function<void()>;
+  // before the first frame's Input, end after the last. The protocol graph
+  // uses them to open/close a batch scope in which per-frame hops coalesce
+  // into one deferred-queue hop.
+  using BatchHook = std::function<void()>;
 
   EthLayer(sim::Host& host, drivers::Nic& nic) : host_(host), nic_(nic) {
     nic_.SetReceiveCallback([this](net::MbufPtr frame) { Input(std::move(frame)); });
@@ -45,7 +44,7 @@ class EthLayer {
   std::size_t mtu() const { return nic_.profile().mtu; }
 
   void SetUpcall(Upcall up) { upcall_ = std::move(up); }
-  void SetBatchHooks(BatchBeginHook begin, BatchEndHook end) {
+  void SetBatchHooks(BatchHook begin, BatchHook end) {
     batch_begin_ = std::move(begin);
     batch_end_ = std::move(end);
   }
@@ -76,7 +75,7 @@ class EthLayer {
   // upcall) is unchanged and runs in arrival order; only the bracketing
   // hooks differ from N single Inputs.
   void InputBatch(net::MbufBatch batch) {
-    if (batch_begin_) batch_begin_(batch.size());
+    if (batch_begin_) batch_begin_();
     for (net::MbufPtr& m : batch) {
       if (m == nullptr) continue;
       sim::PacketTraceScope scope(host_, m->pkthdr().trace_id);
@@ -106,8 +105,8 @@ class EthLayer {
   sim::Host& host_;
   drivers::Nic& nic_;
   Upcall upcall_;
-  BatchBeginHook batch_begin_;
-  BatchEndHook batch_end_;
+  BatchHook batch_begin_;
+  BatchHook batch_end_;
   sim::Counter* malformed_ = nullptr;
 };
 

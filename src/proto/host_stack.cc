@@ -67,8 +67,8 @@ int HostStack::IfIndexForRcvif(int rcvif) const {
   return 0;
 }
 
-void HostStack::SetFrameHandlers(EthLayer::Upcall upcall, EthLayer::BatchBeginHook burst_begin,
-                                 EthLayer::BatchEndHook burst_end) {
+void HostStack::SetFrameHandlers(EthLayer::Upcall upcall, EthLayer::BatchHook burst_begin,
+                                 EthLayer::BatchHook burst_end) {
   upcall_ = std::move(upcall);
   burst_begin_ = std::move(burst_begin);
   burst_end_ = std::move(burst_end);

@@ -1,10 +1,13 @@
 // Runtime gate for the batched packet path (rx bursts, batch Raise, GRO,
-// GSO). PLEXUS_BATCH=off|0 degrades every batching site to the per-packet
-// path — drivers deliver one frame per interrupt/poll step, every frame
-// pays its own deferred-queue hop and demux probe, TCP emits per-MSS
-// segments — and all virtual-time outputs must be byte-identical to the
-// pre-batching engine (enforced by the BENCH_scale / fig5 / tab1 off-mode
-// gates in scripts/check.sh and by batch_equivalence_test).
+// GSO). It is read only where batching starts: the NIC's burst predicate
+// (drivers/nic.cc) and TCP's GSO emission (proto/tcp.cc). PLEXUS_BATCH=off|0
+// therefore degrades the whole path to per-packet — drivers deliver one
+// frame per interrupt/poll step, so no batch scope opens, every frame pays
+// its own deferred-queue hop and demux probe, GRO never engages, and TCP
+// emits per-MSS segments — and all virtual-time outputs must be
+// byte-identical to the pre-batching engine (enforced by the BENCH_scale /
+// fig5 / tab1 off-mode gates in scripts/check.sh and by
+// batch_equivalence_test).
 //
 // Same lazy env-resolve pattern as sim::SlabConfig / sim::Profiler.
 // Flipping the gate mid-run is only safe at quiescent points: no rx burst

@@ -19,9 +19,13 @@
 // open spans live on a per-track stack, so eviction never dangles a
 // begin/end pair. Every Host::Charge while a span is open accrues to that
 // span (self time) and to each enclosing span (total time), and to a
-// per-category ledger — the per-layer CPU breakdown the paper's Section 4
-// argues from. Charges with no open span accrue to "(unattributed)", so
-// the category ledger always sums exactly to everything charged.
+// per-category ledger keyed by the innermost open span's category. The
+// categories mix layers (eth, ip, udp, tcp, arp) with mechanisms (driver,
+// dispatch, demux, guard, handler, checksum, copy, trap, sched, socket),
+// so the ledger is a CPU breakdown by whatever ran last, not a per-layer
+// table: a TCP handler's dispatch charge lands under "dispatch", not "tcp".
+// Charges with no open span accrue to "(unattributed)", so the category
+// ledger always sums exactly to everything charged.
 #ifndef PLEXUS_SIM_TRACER_H_
 #define PLEXUS_SIM_TRACER_H_
 

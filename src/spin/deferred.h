@@ -11,9 +11,9 @@
 // until the backlog drains to the low watermark, so the queue does not
 // flap at the boundary.
 //
-// Only the entry hop (EthernetManager::OnFrame) is sheddable. Interior hops
-// (IP->UDP, IP->TCP) carry packets the graph has already invested work in;
-// they are always admitted and merely counted.
+// Only the entry hop (driver -> Ethernet.PacketRecv) is sheddable. Interior
+// hops (IP->UDP, IP->TCP) carry packets the graph has already invested work
+// in; they are always admitted and merely counted.
 #ifndef PLEXUS_SPIN_DEFERRED_H_
 #define PLEXUS_SPIN_DEFERRED_H_
 
@@ -49,29 +49,14 @@ class DeferredQueue {
   std::size_t peak_depth() const { return peak_; }
   bool shedding() const { return shedding_; }
 
-  // Called by the graph-hop path before spawning a handler thread. Returns
+  // Called by the graph-hop path before spawning a handler thread; a
+  // coalesced burst hop carries `frames` packets in one thread. Returns
   // false when the work should be dropped instead (sheddable work while the
-  // queue is past its watermark).
-  bool Admit(bool sheddable) {
-    const std::size_t d = depth();
-    if (shedding_ && d <= config_.low_watermark) shedding_ = false;
-    if (!shedding_ && d >= config_.high_watermark) shedding_ = true;
-    if (shedding_ && sheddable) {
-      shed_.Inc();
-      host_.TraceInstant("spin.deferred_shed", "drop");
-      return false;
-    }
-    admitted_.Inc();
-    depth_.Add(1);
-    if (d + 1 > peak_) peak_ = d + 1;
-    return true;
-  }
-
-  // Batched variant: one queued hop carries `frames` packets. Admission is
-  // all-or-nothing (the burst is one unit of queued work — depth grows by
-  // one hop) but the admit/shed books stay per-frame, so overload counters
-  // mean the same thing in batched and per-packet modes.
-  bool AdmitBurst(std::size_t frames, bool sheddable) {
+  // queue is past its watermark). Admission is all-or-nothing (the hop is
+  // one unit of queued work — depth grows by one) but the admit/shed books
+  // stay per-frame, so overload counters mean the same thing in batched
+  // and per-packet modes.
+  bool Admit(std::size_t frames, bool sheddable) {
     const std::size_t d = depth();
     if (shedding_ && d <= config_.low_watermark) shedding_ = false;
     if (!shedding_ && d >= config_.high_watermark) shedding_ = true;

@@ -47,7 +47,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/batch.h"
 #include "sim/profiler.h"
 #include "sim/time.h"
 #include "spin/dispatcher.h"
@@ -304,82 +303,38 @@ class Event {
   // dead and skipped. Entries are individually heap-owned, so Entry* stays
   // stable while a handler installs new handlers mid-raise.
   std::size_t Raise(Args... args) {
-    PLEXUS_PROFILE_SCOPE(kEventRaise);
-    if (dispatcher_ != nullptr) dispatcher_->CountRaise();
     sim::Host* host = dispatcher_ != nullptr ? dispatcher_->host() : nullptr;
     // One load + branch when tracing is off; span names are prebuilt at
     // install time, so the enabled path allocates nothing per guard.
     const bool tracing = host != nullptr && host->tracing();
-    sim::TraceSpan raise_span;
-    if (tracing) raise_span.Begin(*host, name_, "dispatch");
-    std::size_t invoked = 0;
     ++raising_;
-    if (extractor_ != nullptr) {
-      const std::vector<Entry*>* bucket = nullptr;
-      if (index_.has_keyed()) {
-        PLEXUS_PROFILE_SCOPE(kDemuxLookup);
-        sim::TraceSpan demux_span;
-        if (tracing) demux_span.Begin(*host, demux_span_name_, "demux");
-        if (dispatcher_ != nullptr) dispatcher_->ChargeDemuxLookup();
-        const std::optional<std::uint64_t> key = extractor_(args...);
-        if (key.has_value()) bucket = index_.Probe(*key);
-      }
-      // Sizes captured up front: handlers installed during this raise land
-      // beyond them and are not visited (the snapshot bound). Both vectors
-      // are append-only while raising_ > 0 (removals defer to the sweep).
-      // Candidates are Entry* — no per-candidate id lookup.
-      const std::size_t nb = bucket != nullptr ? bucket->size() : 0;
-      const std::size_t nr = index_.residuals().size();
-      std::size_t ib = 0, ir = 0;
-      while (ib < nb || ir < nr) {
-        Entry* e;
-        if (ir >= nr ||
-            (ib < nb && (*bucket)[ib]->id < index_.residuals()[ir]->id)) {
-          e = (*bucket)[ib++];
-        } else {
-          e = index_.residuals()[ir++];
-        }
-        if (!e->alive) continue;  // uninstalled mid-raise
-        invoked += DispatchTo(*e, host, tracing, /*amortized=*/false, args...);
-      }
-    } else {
-      const std::size_t bound = entries_.size();
-      for (std::size_t i = 0; i < bound; ++i) {
-        Entry& e = *entries_[i];
-        if (!e.alive) continue;  // uninstalled mid-raise
-        invoked += DispatchTo(e, host, tracing, /*amortized=*/false, args...);
-      }
-    }
+    const std::size_t invoked = RaiseOne<false>(nullptr, host, tracing, args...);
     if (--raising_ == 0 && needs_sweep_) Sweep();
     return invoked;
   }
 
-  // Batched raise: dispatches a burst of packets through the demux index
-  // with one probe per DISTINCT key (flows repeat heavily within a burst)
-  // and amortized dispatch charges — the first packet reaching an entry
-  // pays event_dispatch, further packets of the same burst pay
-  // batch_dispatch. Everything else behaves exactly as if each packet were
-  // raised singly, in arrival order: one spin.raises count and one raise
-  // span per packet, guards evaluated (and charged) per packet, budget
-  // fences and fault containment bracketing each invocation, the snapshot
-  // bound re-read per packet so a handler installed by packet k is visible
-  // to packet k+1, and mid-burst uninstall/quarantine marking entries dead
-  // for the remainder of the burst. Known divergences from N single
+  // Batched raise: each packet of the burst takes Raise's own dispatch
+  // body, in arrival order, so guards, handler order, budget fences, fault
+  // containment and the per-packet snapshot bound (a handler installed by
+  // packet k is visible to packet k+1) are exactly those of N single
+  // raises. What the burst amortizes is the demux probe — one per DISTINCT
+  // key, flows repeat heavily within a burst — and the dispatch charge:
+  // the first packet reaching an entry pays event_dispatch, further packets
+  // of the same burst pay batch_dispatch. Known divergences from N single
   // raises, both documented in DESIGN.md: key churn
   // (AddHandlerKey/RemoveHandlerKey) requested mid-burst lands after the
   // whole burst, and a keyed handler installed mid-burst under a key whose
   // probe already came up empty is first seen by the next burst.
   //
   // `items` is any sized forward range; `proj(item)` returns a std::tuple
-  // whose elements bind to this event's argument types. When batching is
-  // disabled, the event has no dispatcher, or no demux index is compiled,
-  // the burst degrades to per-packet Raise calls — byte-identical to the
-  // per-packet path.
+  // whose elements bind to this event's argument types. A burst of one, an
+  // event without a dispatcher, or one without a compiled demux index has
+  // nothing to amortize and takes plain Raise calls.
   template <typename Container, typename Proj>
   std::size_t RaiseBatch(Container& items, Proj&& proj) {
     std::size_t invoked = 0;
     if (dispatcher_ == nullptr || extractor_ == nullptr || !index_.has_keyed() ||
-        !sim::BatchConfig::enabled() || items.size() < 2) {
+        items.size() < 2) {
       for (auto& item : items) {
         invoked += std::apply([&](auto&&... args) { return Raise(args...); },
                               proj(item));
@@ -389,81 +344,11 @@ class Event {
     sim::Host* host = dispatcher_->host();
     const bool tracing = host != nullptr && host->tracing();
     dispatcher_->CountBatchRaise(items.size());
-    // Probe cache for the burst: bucket pointers stay valid because both
-    // dispatch vectors are append-only while raising_ > 0 (removals defer
-    // to the sweep) and the bucket map has stable references.
-    struct ProbeHit {
-      std::uint64_t key;
-      const std::vector<Entry*>* bucket;
-    };
-    std::vector<ProbeHit> probed;
-    probed.reserve(8);
-    bool probed_nullopt = false;
-    // Entries already past their guard once this burst: repeat visits are
-    // hot and charge at the amortized rate.
-    std::vector<Entry*> hot;
-    hot.reserve(8);
+    Burst burst;
     ++raising_;
     for (auto& item : items) {
-      std::apply(
-          [&](auto&&... args) {
-            PLEXUS_PROFILE_SCOPE(kEventRaise);
-            dispatcher_->CountRaise();
-            sim::TraceSpan raise_span;
-            if (tracing) raise_span.Begin(*host, name_, "dispatch");
-            const std::vector<Entry*>* bucket = nullptr;
-            {
-              PLEXUS_PROFILE_SCOPE(kDemuxLookup);
-              sim::TraceSpan demux_span;
-              if (tracing) demux_span.Begin(*host, demux_span_name_, "demux");
-              const std::optional<std::uint64_t> key = extractor_(args...);
-              if (key.has_value()) {
-                bool hit = false;
-                for (const ProbeHit& p : probed) {
-                  if (p.key == *key) {
-                    bucket = p.bucket;
-                    hit = true;
-                    break;
-                  }
-                }
-                if (!hit) {
-                  dispatcher_->ChargeDemuxLookup();
-                  bucket = index_.Probe(*key);
-                  probed.push_back(ProbeHit{*key, bucket});
-                }
-              } else if (!probed_nullopt) {
-                // Per-packet raises charge the probe even when the
-                // extractor declines the packet; pay that once per burst.
-                dispatcher_->ChargeDemuxLookup();
-                probed_nullopt = true;
-              }
-            }
-            // Snapshot bound re-read per packet: a handler installed while
-            // dispatching packet k lands below these sizes for packet k+1,
-            // exactly as it would between two single raises.
-            const std::size_t nb = bucket != nullptr ? bucket->size() : 0;
-            const std::size_t nr = index_.residuals().size();
-            std::size_t ib = 0, ir = 0;
-            while (ib < nb || ir < nr) {
-              Entry* e;
-              if (ir >= nr ||
-                  (ib < nb && (*bucket)[ib]->id < index_.residuals()[ir]->id)) {
-                e = (*bucket)[ib++];
-              } else {
-                e = index_.residuals()[ir++];
-              }
-              if (!e->alive) continue;  // uninstalled mid-burst
-              const bool amortized =
-                  std::find(hot.begin(), hot.end(), e) != hot.end();
-              const std::uint64_t rejections_before = e->stats.guard_rejections;
-              invoked += DispatchTo(*e, host, tracing, amortized, args...);
-              // Guard-rejected packets never reach the dispatch charge, so
-              // they do not warm the entry.
-              if (!amortized && e->stats.guard_rejections == rejections_before) {
-                hot.push_back(e);
-              }
-            }
-          },
+      invoked += std::apply(
+          [&](auto&&... args) { return RaiseOne<true>(&burst, host, tracing, args...); },
           proj(item));
     }
     if (--raising_ == 0 && needs_sweep_) Sweep();
@@ -538,6 +423,89 @@ class Event {
     HandlerId id;
     std::uint64_t key;
   };
+  // What a RaiseBatch burst remembers between its packets. Cached bucket
+  // pointers stay valid because both dispatch vectors are append-only
+  // while raising_ > 0 (removals defer to the sweep) and the bucket map
+  // has stable references.
+  struct Burst {
+    // One probe per distinct key; nullopt (unreadable field) is a key too.
+    std::vector<std::pair<std::optional<std::uint64_t>, const std::vector<Entry*>*>> probed;
+    // Entries already past their guard once this burst: repeat visits are
+    // hot and charge at the amortized rate.
+    std::vector<Entry*> hot;
+    Burst() {
+      probed.reserve(8);
+      hot.reserve(8);
+    }
+  };
+
+  // The one per-packet dispatch body behind Raise and RaiseBatch: count
+  // the raise, probe the demux index, merge the probed bucket with the
+  // residual list in installation-id order, dispatch. kBurst compiles in
+  // the burst's probe cache and hot-entry amortization; a single raise
+  // carries none of it. The caller holds raising_ and sweeps after.
+  template <bool kBurst>
+  std::size_t RaiseOne([[maybe_unused]] Burst* burst, sim::Host* host, bool tracing,
+                       Args... args) {
+    PLEXUS_PROFILE_SCOPE(kEventRaise);
+    if (dispatcher_ != nullptr) dispatcher_->CountRaise();
+    sim::TraceSpan raise_span;
+    if (tracing) raise_span.Begin(*host, name_, "dispatch");
+    const std::vector<Entry*>* bucket = nullptr;
+    if (extractor_ != nullptr && index_.has_keyed()) {
+      PLEXUS_PROFILE_SCOPE(kDemuxLookup);
+      sim::TraceSpan demux_span;
+      if (tracing) demux_span.Begin(*host, demux_span_name_, "demux");
+      const std::optional<std::uint64_t> key = extractor_(args...);
+      bool cached = false;
+      if constexpr (kBurst) {
+        for (const auto& [k, b] : burst->probed) {
+          if (k == key) {
+            bucket = b;
+            cached = true;
+            break;
+          }
+        }
+      }
+      if (!cached) {
+        // Charged even when the extractor declines the packet.
+        if (dispatcher_ != nullptr) dispatcher_->ChargeDemuxLookup();
+        if (key.has_value()) bucket = index_.Probe(*key);
+        if constexpr (kBurst) burst->probed.emplace_back(key, bucket);
+      }
+    }
+    // Sizes captured up front: handlers installed during this raise land
+    // beyond them and are not visited (the snapshot bound). Candidates are
+    // Entry* — no per-candidate id lookup. Without a demux key every
+    // handler is on the residual list, in installation order.
+    const std::size_t nb = bucket != nullptr ? bucket->size() : 0;
+    const std::size_t nr = index_.residuals().size();
+    std::size_t ib = 0, ir = 0;
+    std::size_t invoked = 0;
+    while (ib < nb || ir < nr) {
+      Entry* e;
+      if (ir >= nr || (ib < nb && (*bucket)[ib]->id < index_.residuals()[ir]->id)) {
+        e = (*bucket)[ib++];
+      } else {
+        e = index_.residuals()[ir++];
+      }
+      if (!e->alive) continue;  // uninstalled mid-raise
+      if constexpr (kBurst) {
+        const bool amortized =
+            std::find(burst->hot.begin(), burst->hot.end(), e) != burst->hot.end();
+        const std::uint64_t rejections_before = e->stats.guard_rejections;
+        invoked += DispatchTo(*e, host, tracing, amortized, args...);
+        // Guard-rejected packets never reach the dispatch charge, so they
+        // do not warm the entry.
+        if (!amortized && e->stats.guard_rejections == rejections_before) {
+          burst->hot.push_back(e);
+        }
+      } else {
+        invoked += DispatchTo(*e, host, tracing, /*amortized=*/false, args...);
+      }
+    }
+    return invoked;
+  }
 
   Result<HandlerId> CheckInstall(const Handler& handler, const HandlerOptions& opts) const {
     if (!handler) return Errorf("Install(" + name_ + "): null handler");
@@ -573,10 +541,10 @@ class Event {
   }
 
   // Guard check + budget fence + invocation + fault containment for one
-  // handler: shared by the indexed and linear dispatch paths. Returns 1 if
-  // the handler ran to completion. `amortized` marks a RaiseBatch repeat
-  // visit to an entry that already ran earlier in the same burst: the
-  // handler is hot, so the framework charge drops to batch_dispatch.
+  // handler. Returns 1 if the handler ran to completion. `amortized` marks a
+  // RaiseBatch repeat visit to an entry that already ran earlier in the
+  // same burst: the handler is hot, so the framework charge drops to
+  // batch_dispatch.
   std::size_t DispatchTo(Entry& e, sim::Host* host, bool tracing, bool amortized,
                          Args... args) {
     if (e.guard) {

@@ -28,10 +28,10 @@
 #include <vector>
 
 #include "adversarial_util.h"
+#include "batch_mode.h"
 #include "net/view.h"
 #include "proto/tcp.h"
 #include "proto/tcp_demux.h"
-#include "sim/batch.h"
 
 namespace {
 
@@ -698,8 +698,7 @@ TEST(Adversarial, FuzzCorpusModestSeedsHoldInvariants) {
 
 // Counts tcp+gro malformed drops for a burst of 40 TCP runts in one mode.
 std::uint64_t RuntAccounting(bool batch_on) {
-  const bool prev = sim::BatchConfig::enabled();
-  sim::BatchConfig::SetEnabled(batch_on);
+  ScopedBatchMode mode(batch_on);
   std::uint64_t sum = 0;
   {
     Pair p;
@@ -720,7 +719,6 @@ std::uint64_t RuntAccounting(bool batch_on) {
     sum = p.ServerCounter("proto.tcp.malformed_drops") +
           p.ServerCounter("proto.gro.malformed_drops");
   }
-  sim::BatchConfig::SetEnabled(prev);
   return sum;
 }
 

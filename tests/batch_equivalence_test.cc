@@ -20,10 +20,11 @@
 // modes). Whatever the fault schedule does to the wire, the server-side
 // byte stream must be exactly the payload in every mode, nothing may be
 // quarantined, and after the drain every mbuf — including in-flight burst
-// containers and parked GRO chains — must be back on its slab. Off-mode
-// runs are additionally re-run and must be bit-deterministic (same virtual
-// end time, same raise totals): the gate's identity guarantee rests on
-// that determinism.
+// containers and parked GRO chains — must be back on its slab. With the
+// gate off no burst forms, so no RaiseBatch runs and GRO never merges.
+// Off-mode runs are additionally re-run and must be bit-deterministic (same
+// virtual end time, same raise totals): the gate's identity guarantee rests
+// on that determinism.
 //
 // Default 1000 seeds; PLEXUS_BATCH_SEEDS overrides for quick local runs.
 #include <gtest/gtest.h>
@@ -38,10 +39,10 @@
 #include <tuple>
 #include <vector>
 
+#include "batch_mode.h"
 #include "core/plexus.h"
 #include "drivers/device_profile.h"
 #include "drivers/medium.h"
-#include "sim/batch.h"
 #include "sim/cost_model.h"
 #include "sim/host.h"
 #include "sim/simulator.h"
@@ -50,14 +51,6 @@
 #include "spin/event.h"
 
 namespace {
-
-struct ScopedBatchMode {
-  explicit ScopedBatchMode(bool on) : prev_(sim::BatchConfig::enabled()) {
-    sim::BatchConfig::SetEnabled(on);
-  }
-  ~ScopedBatchMode() { sim::BatchConfig::SetEnabled(prev_); }
-  bool prev_;
-};
 
 int SeedCount() {
   if (const char* env = std::getenv("PLEXUS_BATCH_SEEDS")) {
@@ -151,7 +144,6 @@ void InstallLogical(MirrorSide& s, int logical, const Spec& spec) {
 }
 
 void RunMirrorSeed(std::uint64_t seed) {
-  ScopedBatchMode batched(true);
   std::mt19937 rng(static_cast<unsigned>(seed * 2654435761u + 1));
   std::uniform_int_distribution<int> percent(0, 99);
   std::uniform_int_distribution<int> value_dist(-2, kKeySpace - 1);
@@ -232,23 +224,6 @@ TEST(BatchEquivalence, RaiseBatchMirrorsPerItemRaise) {
     RunMirrorSeed(static_cast<std::uint64_t>(s));
     if (::testing::Test::HasFatalFailure()) return;
   }
-}
-
-// RaiseBatch with batching disabled must be a plain per-item loop: the
-// batch counters stay untouched.
-TEST(BatchEquivalence, RaiseBatchDegradesToPerItemWhenOff) {
-  ScopedBatchMode off(false);
-  sim::Simulator sim;
-  MirrorSide side(sim, "off");
-  int calls = 0;
-  ASSERT_TRUE(side.ev.InstallKeyed([&](int) { ++calls; }, 3).ok());
-  std::vector<int> burst = {3, 3, 5, 3};
-  EXPECT_EQ(side.ev.RaiseBatch(burst, [](int& v) { return std::forward_as_tuple(v); }),
-            3u);
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(side.d.stats().batch_raises, 0u);
-  EXPECT_EQ(side.d.stats().batch_packets, 0u);
-  EXPECT_EQ(side.d.stats().batch_amortized, 0u);
 }
 
 // --- Part B: full-stack transfers, off vs batched -------------------------------

@@ -28,10 +28,10 @@
 
 #include "app/echo.h"
 #include "app/retry.h"
+#include "batch_mode.h"
 #include "core/plexus.h"
 #include "drivers/device_profile.h"
 #include "drivers/medium.h"
-#include "sim/batch.h"
 #include "sim/chaos.h"
 #include "sim/simulator.h"
 #include "sim/slab.h"
@@ -242,8 +242,7 @@ TEST(ChaosProperty, ThousandSeededSchedulesHoldInvariants) {
 // a GRO chain is held: RunSeed's slab/pool/quarantine checks prove the
 // teardown released every frame the burst was carrying.
 TEST(ChaosProperty, BatchedCrashMidBurstDrainsLeakFree) {
-  const bool prev = sim::BatchConfig::enabled();
-  sim::BatchConfig::SetEnabled(true);
+  ScopedBatchMode batched(true);
   const int seeds = std::min(SeedCount(), 150);
   int crashes = 0;
   for (int s = 1; s <= seeds; ++s) {
@@ -252,7 +251,6 @@ TEST(ChaosProperty, BatchedCrashMidBurstDrainsLeakFree) {
     if (HasFatalFailure()) break;
     crashes += out.crashes_fired;
   }
-  sim::BatchConfig::SetEnabled(prev);
   if (HasFatalFailure()) return;
   EXPECT_GT(crashes, 0) << "no crash ever landed: the mid-burst case is untested";
 }

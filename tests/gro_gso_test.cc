@@ -17,28 +17,19 @@
 #include <utility>
 #include <vector>
 
+#include "batch_mode.h"
 #include "net/headers.h"
 #include "net/mbuf.h"
 #include "net/view.h"
 #include "proto/gro.h"
 #include "proto/tcp.h"
 #include "proto/transport_checksum.h"
-#include "sim/batch.h"
 #include "sim/cost_model.h"
 #include "sim/host.h"
 #include "sim/simulator.h"
 
 namespace proto {
 namespace {
-
-// Pins the batch gate for one test, restoring the prior resolution after.
-struct ScopedBatchMode {
-  explicit ScopedBatchMode(bool on) : prev_(sim::BatchConfig::enabled()) {
-    sim::BatchConfig::SetEnabled(on);
-  }
-  ~ScopedBatchMode() { sim::BatchConfig::SetEnabled(prev_); }
-  bool prev_;
-};
 
 const net::Ipv4Address kSrc(10, 0, 0, 1);
 const net::Ipv4Address kDst(10, 0, 0, 2);

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "batch_mode.h"
 #include "core/plexus.h"
 #include "drivers/device_profile.h"
 #include "drivers/medium.h"
@@ -16,23 +17,11 @@
 #include "net/checksum.h"
 #include "net/headers.h"
 #include "net/mbuf_pool.h"
-#include "sim/batch.h"
 #include "sim/host.h"
 #include "sim/simulator.h"
 #include "spin/deferred.h"
 
 namespace {
-
-// Pins the batched packet path off (or on) for one test and restores the
-// prior resolution after — so a suite run under PLEXUS_BATCH=off keeps its
-// environment setting for the remaining tests.
-struct ScopedBatchMode {
-  explicit ScopedBatchMode(bool on) : prev_(sim::BatchConfig::enabled()) {
-    sim::BatchConfig::SetEnabled(on);
-  }
-  ~ScopedBatchMode() { sim::BatchConfig::SetEnabled(prev_); }
-  bool prev_;
-};
 
 // --- MbufPool -------------------------------------------------------------------
 
@@ -244,16 +233,16 @@ TEST(DeferredQueue, ShedsSheddableWorkPastHighWatermarkWithHysteresis) {
   sim::Simulator sim;
   sim::Host host(sim, "h", sim::CostModel::Default1996(), 1);
   spin::DeferredQueue q(host, {/*high=*/4, /*low=*/2});
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.Admit(/*sheddable=*/true));
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.Admit(1, /*sheddable=*/true));
   EXPECT_EQ(q.depth(), 4u);
-  EXPECT_FALSE(q.Admit(true));  // at the high watermark: shed
+  EXPECT_FALSE(q.Admit(1, true));  // at the high watermark: shed
   EXPECT_TRUE(q.shedding());
-  EXPECT_TRUE(q.Admit(/*sheddable=*/false));  // interior hops always admitted
+  EXPECT_TRUE(q.Admit(1, /*sheddable=*/false));  // interior hops always admitted
   q.OnStart();
   q.OnStart();
-  EXPECT_FALSE(q.Admit(true));  // depth 3 > low: hysteresis still shedding
+  EXPECT_FALSE(q.Admit(1, true));  // depth 3 > low: hysteresis still shedding
   q.OnStart();
-  EXPECT_TRUE(q.Admit(true));  // depth 2 <= low: shedding ends
+  EXPECT_TRUE(q.Admit(1, true));  // depth 2 <= low: shedding ends
   EXPECT_FALSE(q.shedding());
   EXPECT_EQ(q.peak_depth(), 5u);
   EXPECT_EQ(host.metrics().counter("spin.deferred_shed").value(), 2u);

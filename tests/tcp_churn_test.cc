@@ -21,9 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "batch_mode.h"
 #include "core/plexus.h"
 #include "drivers/medium.h"
-#include "sim/batch.h"
 #include "sim/metrics.h"
 #include "sim/slab.h"
 
@@ -316,8 +316,7 @@ TEST(TcpChurn, BatchedModePinnedDeliversExactlyAndDrainsLeakFree) {
   // rx bursts, coalesced graph hops, GRO chains, and GSO jumbos — and must
   // still deliver exactly once, quarantine nothing, and hand every mbuf
   // (including burst slot blocks and held GRO chains) back to the slabs.
-  const bool prev = sim::BatchConfig::enabled();
-  sim::BatchConfig::SetEnabled(true);
+  ScopedBatchMode batched(true);
   constexpr int kBatchConns = 300;
 
   sim::Simulator sim;
@@ -407,7 +406,6 @@ TEST(TcpChurn, BatchedModePinnedDeliversExactlyAndDrainsLeakFree) {
   EXPECT_EQ(server.mbuf_pool().in_use(), 0u);
   EXPECT_EQ(sim::SlabRegistry::InUse("mbuf"), 0u);
 
-  sim::BatchConfig::SetEnabled(prev);
   DumpFlightIfFailed("churn_batched", server, client);
 }
 
