@@ -14,6 +14,7 @@
 
 #include "bench/bench_common.h"
 #include "drivers/medium.h"
+#include "tests/net_harness.h"
 
 namespace {
 
@@ -22,18 +23,9 @@ namespace {
 // with `opaque_guards` they are installed as raw lambda-guarded handlers
 // instead, so every packet walks the residual list and evaluates them all.
 double RttWithEndpoints(int extra_endpoints, bool opaque_guards = false) {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  const auto costs = sim::CostModel::Default1996();
-  core::PlexusHost a(sim, "a", costs, profile,
-                     {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  core::PlexusHost b(sim, "b", costs, profile,
-                     {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  a.AttachTo(segment);
-  b.AttachTo(segment);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  auto &a = lan.AddPlexus(1, "a"), &b = lan.AddPlexus(2, "b");
 
   spin::HandlerOptions opts;
   opts.ephemeral = true;
@@ -84,18 +76,10 @@ double RttWithEndpoints(int extra_endpoints, bool opaque_guards = false) {
 
 // One-way send CPU cost with/without the UDP checksum, per payload size.
 double SendCpuUs(bool checksum, std::size_t payload) {
-  sim::Simulator sim;
-  drivers::PointToPointLink link(sim);
-  const auto profile = drivers::DeviceProfile::DecT3();
-  const auto costs = sim::CostModel::Default1996();
-  core::PlexusHost a(sim, "a", costs, profile,
-                     {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  core::PlexusHost b(sim, "b", costs, profile,
-                     {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  a.AttachTo(link);
-  b.AttachTo(link);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  harness::Lan lan(drivers::DeviceProfile::DecT3());
+  sim::Simulator& sim = lan.sim;
+  auto& a = lan.AddPlexus(1, "a");
+  lan.AddPlexus(2, "b");
   a.arp().AddStatic(net::Ipv4Address(10, 0, 0, 2), net::MacAddress::FromId(2));
 
   auto ep = a.udp().CreateEndpoint(5000).value();

@@ -17,25 +17,19 @@
 #include "app/video.h"
 #include "bench/bench_common.h"
 #include "drivers/medium.h"
+#include "tests/net_harness.h"
 
 namespace {
 
 // CPU us per displayed frame on the client.
 double ClientCpuPerFrameUs(bool ilp, sim::Duration fb_per_byte) {
-  sim::Simulator sim;
-  drivers::PointToPointLink link(sim);
-  const auto profile = drivers::DeviceProfile::DecT3();
   auto costs = sim::CostModel::Default1996();
   costs.fb_write_per_byte = fb_per_byte;
-
-  core::PlexusHost server(sim, "server", costs, profile,
-                          {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  core::PlexusHost client(sim, "client", costs, profile,
-                          {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  server.AttachTo(link);
-  client.AttachTo(link);
-  server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  harness::Lan lan(drivers::DeviceProfile::DecT3());
+  sim::Simulator& sim = lan.sim;
+  const auto mode = core::HandlerMode::kInterrupt;
+  auto& server = lan.AddPlexus(1, "server", 1, mode, costs);
+  auto& client = lan.AddPlexus(2, "client", 1, mode, costs);
 
   app::VideoConfig config;
   app::PlexusVideoServer video(server, config);

@@ -13,22 +13,14 @@
 #include "os/socket_host.h"
 #include "os/sockets.h"
 #include "sim/background_load.h"
+#include "tests/net_harness.h"
 
 namespace {
 
 double PlexusRttWithLoad(double load) {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  const auto costs = sim::CostModel::Default1996();
-  core::PlexusHost a(sim, "a", costs, profile,
-                     {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  core::PlexusHost b(sim, "b", costs, profile,
-                     {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  a.AttachTo(segment);
-  b.AttachTo(segment);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  auto &a = lan.AddPlexus(1, "a"), &b = lan.AddPlexus(2, "b");
   sim::BackgroundLoad bg(b.host(), load);
   bg.Start();
 
@@ -62,18 +54,9 @@ double PlexusRttWithLoad(double load) {
 }
 
 double DuRttWithLoad(double load) {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  const auto costs = sim::CostModel::Default1996();
-  os::SocketHost a(sim, "a", costs, profile,
-                   {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  os::SocketHost b(sim, "b", costs, profile,
-                   {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  a.AttachTo(segment);
-  b.AttachTo(segment);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  auto &a = lan.AddOs(1, "a"), &b = lan.AddOs(2, "b");
   sim::BackgroundLoad bg(b.host(), load);
   bg.Start();
 

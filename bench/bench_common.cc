@@ -1,4 +1,5 @@
 #include "bench/bench_common.h"
+#include "tests/net_harness.h"
 
 #include <chrono>
 #include <cstdio>
@@ -40,26 +41,6 @@ void EndCapture(sim::Simulator& sim, sim::Host& a, sim::Host& b, RunObservabilit
   if (obs->enable_tracing) obs->chrome_trace_json = sim.tracer().ExportChromeJson();
 }
 
-core::PlexusHost::NetConfig PNet(int id) {
-  return {net::MacAddress::FromId(static_cast<std::uint32_t>(id)),
-          net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(id)), 24};
-}
-os::SocketHost::NetConfig ONet(int id) {
-  return {net::MacAddress::FromId(static_cast<std::uint32_t>(id)),
-          net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(id)), 24};
-}
-
-// Media selection mirrors the testbed: Ethernet is a shared segment, ATM
-// goes through the ForeRunner switch, T3 is back-to-back — both of the
-// latter are point-to-point here.
-std::unique_ptr<drivers::Medium> MakeMedium(sim::Simulator& sim,
-                                            const drivers::DeviceProfile& profile) {
-  if (profile.name.rfind("ethernet", 0) == 0) {
-    return std::make_unique<drivers::EthernetSegment>(sim);
-  }
-  return std::make_unique<drivers::PointToPointLink>(sim);
-}
-
 proto::TcpConfig TcpConfigFor(const drivers::DeviceProfile& profile) {
   proto::TcpConfig cfg;
   cfg.mss = profile.mtu - 40;
@@ -73,15 +54,11 @@ proto::TcpConfig TcpConfigFor(const drivers::DeviceProfile& profile) {
 double PlexusUdpRttUs(const drivers::DeviceProfile& profile, const sim::CostModel& costs,
                       core::HandlerMode mode, std::size_t payload, int pings,
                       RunObservability* obs) {
-  sim::Simulator sim;
+  harness::Lan lan(profile);
+  sim::Simulator& sim = lan.sim;
   BeginCapture(sim, obs);
-  auto medium = MakeMedium(sim, profile);
-  core::PlexusHost a(sim, "a", costs, profile, PNet(1), mode, 11);
-  core::PlexusHost b(sim, "b", costs, profile, PNet(2), mode, 22);
-  a.AttachTo(*medium);
-  b.AttachTo(*medium);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  auto& a = lan.AddPlexus(1, "a", 11, mode, costs);
+  auto& b = lan.AddPlexus(2, "b", 22, mode, costs);
 
   auto client = a.udp().CreateEndpoint(5000).value();
   auto server = b.udp().CreateEndpoint(7).value();
@@ -118,15 +95,11 @@ double PlexusUdpRttUs(const drivers::DeviceProfile& profile, const sim::CostMode
 
 double OsUdpRttUs(const drivers::DeviceProfile& profile, const sim::CostModel& costs,
                   std::size_t payload, int pings, RunObservability* obs) {
-  sim::Simulator sim;
+  harness::Lan lan(profile);
+  sim::Simulator& sim = lan.sim;
   BeginCapture(sim, obs);
-  auto medium = MakeMedium(sim, profile);
-  os::SocketHost a(sim, "a", costs, profile, ONet(1), 11);
-  os::SocketHost b(sim, "b", costs, profile, ONet(2), 22);
-  a.AttachTo(*medium);
-  b.AttachTo(*medium);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  auto& a = lan.AddOs(1, "a", 11, costs);
+  auto& b = lan.AddOs(2, "b", 22, costs);
 
   os::UdpSocket client(a, 5000);
   os::UdpSocket server(b, 7);
@@ -156,14 +129,14 @@ double OsUdpRttUs(const drivers::DeviceProfile& profile, const sim::CostModel& c
 
 double DriverUdpRttUs(const drivers::DeviceProfile& profile, const sim::CostModel& costs,
                       std::size_t payload, int pings) {
-  sim::Simulator sim;
-  auto medium = MakeMedium(sim, profile);
+  harness::Lan lan(profile);  // the medium only: bare machines, no stack
+  sim::Simulator& sim = lan.sim;
   sim::Host ha(sim, "a", costs, 11);
   sim::Host hb(sim, "b", costs, 22);
   drivers::Nic na(ha, profile, net::MacAddress::FromId(1));
   drivers::Nic nb(hb, profile, net::MacAddress::FromId(2));
-  na.AttachMedium(medium.get());
-  nb.AttachMedium(medium.get());
+  na.AttachMedium(&lan.medium());
+  nb.AttachMedium(&lan.medium());
   na.set_promiscuous(true);
   nb.set_promiscuous(true);
 
@@ -220,15 +193,11 @@ double MeasureTcpTransfer(std::size_t transfer_bytes, sim::Simulator& sim, Setup
 double PlexusTcpThroughputMbps(const drivers::DeviceProfile& profile,
                                const sim::CostModel& costs, std::size_t transfer_bytes,
                                RunObservability* obs) {
-  sim::Simulator sim;
+  harness::Lan lan(profile);
+  sim::Simulator& sim = lan.sim;
   BeginCapture(sim, obs);
-  auto medium = MakeMedium(sim, profile);
-  core::PlexusHost a(sim, "a", costs, profile, PNet(1), core::HandlerMode::kInterrupt, 11);
-  core::PlexusHost b(sim, "b", costs, profile, PNet(2), core::HandlerMode::kInterrupt, 22);
-  a.AttachTo(*medium);
-  b.AttachTo(*medium);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  auto& a = lan.AddPlexus(1, "a", 11, core::HandlerMode::kInterrupt, costs);
+  auto& b = lan.AddPlexus(2, "b", 22, core::HandlerMode::kInterrupt, costs);
   a.tcp().set_config(TcpConfigFor(profile));
   b.tcp().set_config(TcpConfigFor(profile));
 
@@ -264,15 +233,11 @@ double PlexusTcpThroughputMbps(const drivers::DeviceProfile& profile,
 
 double OsTcpThroughputMbps(const drivers::DeviceProfile& profile, const sim::CostModel& costs,
                            std::size_t transfer_bytes, RunObservability* obs) {
-  sim::Simulator sim;
+  harness::Lan lan(profile);
+  sim::Simulator& sim = lan.sim;
   BeginCapture(sim, obs);
-  auto medium = MakeMedium(sim, profile);
-  os::SocketHost a(sim, "a", costs, profile, ONet(1), 11);
-  os::SocketHost b(sim, "b", costs, profile, ONet(2), 22);
-  a.AttachTo(*medium);
-  b.AttachTo(*medium);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  auto& a = lan.AddOs(1, "a", 11, costs);
+  auto& b = lan.AddOs(2, "b", 22, costs);
   a.tcp_config() = TcpConfigFor(profile);
   b.tcp_config() = TcpConfigFor(profile);
 
@@ -311,14 +276,14 @@ double OsTcpThroughputMbps(const drivers::DeviceProfile& profile, const sim::Cos
 
 double DriverThroughputMbps(const drivers::DeviceProfile& profile, const sim::CostModel& costs,
                             std::size_t transfer_bytes) {
-  sim::Simulator sim;
-  auto medium = MakeMedium(sim, profile);
+  harness::Lan lan(profile);  // the medium only: bare machines, no stack
+  sim::Simulator& sim = lan.sim;
   sim::Host ha(sim, "a", costs, 11);
   sim::Host hb(sim, "b", costs, 22);
   drivers::Nic na(ha, profile, net::MacAddress::FromId(1));
   drivers::Nic nb(hb, profile, net::MacAddress::FromId(2));
-  na.AttachMedium(medium.get());
-  nb.AttachMedium(medium.get());
+  na.AttachMedium(&lan.medium());
+  nb.AttachMedium(&lan.medium());
   na.set_promiscuous(true);
   nb.set_promiscuous(true);
 
@@ -351,32 +316,26 @@ double DriverThroughputMbps(const drivers::DeviceProfile& profile, const sim::Co
 }
 
 VideoCpuPoint VideoServerCpu(bool plexus, int streams, const sim::CostModel& costs) {
-  sim::Simulator sim;
-  drivers::PointToPointLink link(sim);
   const auto profile = drivers::DeviceProfile::DecT3();
+  harness::Lan lan(profile);
+  sim::Simulator& sim = lan.sim;
   app::VideoConfig config;
 
-  core::PlexusHost sink_host(sim, "sink", costs, profile, PNet(2), core::HandlerMode::kInterrupt,
-                             99);
-  sink_host.AttachTo(link);
-  sink_host.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  core::PlexusHost& sink_host =
+      lan.AddPlexus(2, "sink", 99, core::HandlerMode::kInterrupt, costs);
   std::vector<std::unique_ptr<app::VideoSink>> sinks;
 
-  std::unique_ptr<core::PlexusHost> pserver;
-  std::unique_ptr<os::SocketHost> dserver;
+  proto::HostStack* server = nullptr;
   std::unique_ptr<app::PlexusVideoServer> pvideo;
   std::unique_ptr<app::DuVideoServer> dvideo;
   if (plexus) {
-    pserver = std::make_unique<core::PlexusHost>(sim, "server", costs, profile, PNet(1),
-                                                 core::HandlerMode::kInterrupt, 1);
-    pserver->AttachTo(link);
-    pserver->ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    pvideo = std::make_unique<app::PlexusVideoServer>(*pserver, config);
+    core::PlexusHost& h = lan.AddPlexus(1, "server", 1, core::HandlerMode::kInterrupt, costs);
+    pvideo = std::make_unique<app::PlexusVideoServer>(h, config);
+    server = &h;
   } else {
-    dserver = std::make_unique<os::SocketHost>(sim, "server", costs, profile, ONet(1), 1);
-    dserver->AttachTo(link);
-    dserver->ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    dvideo = std::make_unique<app::DuVideoServer>(*dserver, config);
+    os::SocketHost& h = lan.AddOs(1, "server", 1, costs);
+    dvideo = std::make_unique<app::DuVideoServer>(h, config);
+    server = &h;
   }
 
   for (int i = 0; i < streams; ++i) {
@@ -390,7 +349,7 @@ VideoCpuPoint VideoServerCpu(bool plexus, int streams, const sim::CostModel& cos
     }
   }
 
-  sim::Host& host = pvideo ? pserver->host() : dserver->host();
+  sim::Host& host = server->host();
   if (pvideo) pvideo->Start();
   if (dvideo) dvideo->Start();
   sim.RunFor(sim::Duration::Millis(200));  // warm up (ARP)
@@ -408,25 +367,15 @@ VideoCpuPoint VideoServerCpu(bool plexus, int streams, const sim::CostModel& cos
 }
 
 ForwardingResult PlexusForwarding(const sim::CostModel& costs) {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  core::PlexusHost client(sim, "client", costs, profile, PNet(1));
-  core::PlexusHost fwd(sim, "fwd", costs, profile, PNet(2));
-  core::PlexusHost backend(sim, "backend", costs, profile, PNet(3));
-  for (core::PlexusHost* h : {&client, &fwd, &backend}) {
-    h->AttachTo(segment);
-    h->ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  }
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  const auto mode = core::HandlerMode::kInterrupt;
+  auto& client = lan.AddPlexus(1, "client", 1, mode, costs);
+  auto& fwd = lan.AddPlexus(2, "fwd", 1, mode, costs);
+  auto& backend = lan.AddPlexus(3, "backend", 1, mode, costs);
   // Warm ARP caches: Figure 7 measures forwarding latency, not neighbor
   // discovery.
-  core::PlexusHost* hosts[] = {&client, &fwd, &backend};
-  for (auto* h : hosts) {
-    for (int id = 1; id <= 3; ++id) {
-      h->arp().AddStatic(net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(id)),
-                         net::MacAddress::FromId(static_cast<std::uint32_t>(id)));
-    }
-  }
+  lan.WarmArp();
   app::PlexusTcpForwarder forwarder(fwd, 8080, net::Ipv4Address(10, 0, 0, 3), 80);
   backend.tcp().Listen(80, [](std::shared_ptr<core::PlexusTcpEndpoint> ep) {
     ep->SetOnData([ep](std::span<const std::byte> d) { ep->Write(d); });
@@ -462,23 +411,12 @@ ForwardingResult PlexusForwarding(const sim::CostModel& costs) {
 }
 
 ForwardingResult DuForwarding(const sim::CostModel& costs) {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  os::SocketHost client(sim, "client", costs, profile, ONet(1));
-  os::SocketHost fwd(sim, "fwd", costs, profile, ONet(2));
-  os::SocketHost backend(sim, "backend", costs, profile, ONet(3));
-  for (os::SocketHost* h : {&client, &fwd, &backend}) {
-    h->AttachTo(segment);
-    h->ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  }
-  os::SocketHost* hosts[] = {&client, &fwd, &backend};
-  for (auto* h : hosts) {
-    for (int id = 1; id <= 3; ++id) {
-      h->arp().AddStatic(net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(id)),
-                         net::MacAddress::FromId(static_cast<std::uint32_t>(id)));
-    }
-  }
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  auto& client = lan.AddOs(1, "client", 1, costs);
+  auto& fwd = lan.AddOs(2, "fwd", 1, costs);
+  auto& backend = lan.AddOs(3, "backend", 1, costs);
+  lan.WarmArp();
   app::DuTcpSplicer splicer(fwd, 8080, net::Ipv4Address(10, 0, 0, 3), 80);
   std::shared_ptr<os::TcpSocket> backend_keep;
   os::TcpListener backend_listener(backend, 80, [&](std::shared_ptr<os::TcpSocket> s) {

@@ -36,6 +36,7 @@
 #include "drivers/device_profile.h"
 #include "drivers/medium.h"
 #include "sim/simulator.h"
+#include "tests/net_harness.h"
 
 namespace {
 
@@ -43,40 +44,25 @@ using core::PlexusHost;
 
 constexpr std::uint16_t kEchoPort = 7;
 
-// One client/server pair on a shared segment.
-struct Pair {
-  Pair()
-      : segment(sim),
-        client(sim, "client", sim::CostModel::Default1996(),
-               drivers::DeviceProfile::Ethernet10(),
-               {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24},
-               core::HandlerMode::kInterrupt, 11),
-        server(sim, "server", sim::CostModel::Default1996(),
-               drivers::DeviceProfile::Ethernet10(),
-               {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24},
-               core::HandlerMode::kInterrupt, 22) {
-    client.AttachTo(segment);
-    server.AttachTo(segment);
-    client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    proto::TcpConfig cfg;
-    cfg.rto_max = sim::Duration::Seconds(2);
-    client.tcp().set_config(cfg);
-    server.tcp().set_config(cfg);
-  }
+// One client/server pair on a shared segment, both with a 2 s
+// retransmission ceiling.
+std::pair<PlexusHost&, PlexusHost&> AddClientAndServer(harness::Lan& lan) {
+  PlexusHost& client = lan.AddPlexus(1, "client", 11);
+  PlexusHost& server = lan.AddPlexus(2, "server", 22);
+  proto::TcpConfig cfg;
+  cfg.rto_max = sim::Duration::Seconds(2);
+  client.tcp().set_config(cfg);
+  server.tcp().set_config(cfg);
+  return {client, server};
+}
 
-  bool DrainedCleanly() {
-    sim.Run();  // every timer is bounded; this terminates
-    return client.host().mbuf_pool()->in_use() == 0 &&
-           server.host().mbuf_pool()->in_use() == 0 &&
-           client.dispatcher().stats().quarantines == 0 &&
-           server.dispatcher().stats().quarantines == 0;
-  }
-
-  sim::Simulator sim;
-  drivers::EthernetSegment segment;
-  PlexusHost client, server;
-};
+bool DrainedCleanly(harness::Lan& p, PlexusHost& client, PlexusHost& server) {
+  p.sim.Run();  // every timer is bounded; this terminates
+  return client.host().mbuf_pool()->in_use() == 0 &&
+         server.host().mbuf_pool()->in_use() == 0 &&
+         client.dispatcher().stats().quarantines == 0 &&
+         server.dispatcher().stats().quarantines == 0;
+}
 
 enum class Fault { kNone, kLinkDown, kNicStall, kCrash };
 
@@ -99,8 +85,9 @@ struct TransferResult {
 
 // A 256 KiB retried echo transfer with one 1-second fault window.
 TransferResult TimedTransfer(Fault fault) {
-  Pair p;
-  app::EchoServer server(p.server, kEchoPort);
+  harness::Lan p;
+  auto [client_host, server_host] = AddClientAndServer(p);
+  app::EchoServer server(server_host, kEchoPort);
 
   std::vector<std::byte> payload(256 * 1024);
   for (std::size_t i = 0; i < payload.size(); ++i) {
@@ -113,11 +100,11 @@ TransferResult TimedTransfer(Fault fault) {
 
   TransferResult out;
   app::RetryingEchoClient client(
-      p.client.host(),
+      client_host.host(),
       [&]() -> std::shared_ptr<proto::ByteStream> {
-        if (p.client.crashed()) return nullptr;
+        if (client_host.crashed()) return nullptr;
         return std::static_pointer_cast<proto::ByteStream>(
-            p.client.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), kEchoPort));
+            client_host.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), kEchoPort));
       },
       payload, policy, [&](const app::RetryingEchoClient::Result& r) {
         out.success = r.success;
@@ -132,23 +119,23 @@ TransferResult TimedTransfer(Fault fault) {
     case Fault::kNone:
       break;
     case Fault::kLinkDown:
-      p.sim.Schedule(at, [&] { p.segment.set_carrier(false); });
-      p.sim.Schedule(at + outage, [&] { p.segment.set_carrier(true); });
+      p.sim.Schedule(at, [&] { p.medium().set_carrier(false); });
+      p.sim.Schedule(at + outage, [&] { p.medium().set_carrier(true); });
       break;
     case Fault::kNicStall:
-      p.sim.Schedule(at, [&] { p.server.nic().SetStalled(true); });
-      p.sim.Schedule(at + outage, [&] { p.server.nic().SetStalled(false); });
+      p.sim.Schedule(at, [&] { server_host.nic().SetStalled(true); });
+      p.sim.Schedule(at + outage, [&] { server_host.nic().SetStalled(false); });
       break;
     case Fault::kCrash:
-      p.sim.Schedule(at, [&] { p.server.Crash(); });
+      p.sim.Schedule(at, [&] { server_host.Crash(); });
       p.sim.Schedule(at + outage, [&] {
-        p.server.Restart();
+        server_host.Restart();
         server.Rearm();
       });
       break;
   }
 
-  out.clean = p.DrainedCleanly();
+  out.clean = DrainedCleanly(p, client_host, server_host);
   return out;
 }
 
@@ -156,8 +143,9 @@ TransferResult TimedTransfer(Fault fault) {
 // each period the link is up for (1-frac)*period then down for frac*period.
 // Returns echoed goodput in Mb/s (and leak-check status via *clean).
 double FlapGoodputMbps(double down_fraction, bool* clean) {
-  Pair p;
-  app::EchoServer server(p.server, kEchoPort);
+  harness::Lan p;
+  auto [client_host, server_host] = AddClientAndServer(p);
+  app::EchoServer server(server_host, kEchoPort);
 
   const sim::Duration horizon = sim::Duration::Seconds(20);
   const sim::Duration period = sim::Duration::Seconds(2);
@@ -165,8 +153,8 @@ double FlapGoodputMbps(double down_fraction, bool* clean) {
     const auto down_len = sim::Duration::Nanos(
         static_cast<std::int64_t>(static_cast<double>(period.ns()) * down_fraction));
     for (sim::Duration t = period - down_len; t < horizon; t = t + period) {
-      p.sim.Schedule(t, [&] { p.segment.set_carrier(false); });
-      p.sim.Schedule(t + down_len, [&] { p.segment.set_carrier(true); });
+      p.sim.Schedule(t, [&] { p.medium().set_carrier(false); });
+      p.sim.Schedule(t + down_len, [&] { p.medium().set_carrier(true); });
     }
   }
 
@@ -175,8 +163,8 @@ double FlapGoodputMbps(double down_fraction, bool* clean) {
   std::uint64_t echoed = 0;
   bool stopped = false;
   std::shared_ptr<core::PlexusTcpEndpoint> ep;
-  p.client.Run([&] {
-    ep = p.client.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), kEchoPort);
+  client_host.Run([&] {
+    ep = client_host.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), kEchoPort);
     ep->SetOnEstablished([&] { ep->Write(chunk); });
     ep->SetOnData([&](std::span<const std::byte> d) {
       echoed += d.size();
@@ -187,14 +175,14 @@ double FlapGoodputMbps(double down_fraction, bool* clean) {
   });
   p.sim.ScheduleAt(sim::TimePoint() + horizon, [&] {
     stopped = true;
-    p.client.Run([&] {
+    client_host.Run([&] {
       if (ep->attached()) ep->CloseStream();
     });
   });
   p.sim.RunUntil(sim::TimePoint() + horizon);
   const double goodput =
       static_cast<double>(echoed) * 8.0 / horizon.seconds() / 1e6;  // Mb/s
-  *clean = p.DrainedCleanly();
+  *clean = DrainedCleanly(p, client_host, server_host);
   return goodput;
 }
 

@@ -9,21 +9,15 @@
 #include "sim/host.h"
 #include "spin/dispatcher.h"
 #include "spin/event.h"
+#include "tests/net_harness.h"
 
 namespace {
 
 // One-way active-message latency with the handler at interrupt level.
 double ActiveMessageLatencyUs(core::HandlerMode mode) {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  const auto costs = sim::CostModel::Default1996();
-  core::PlexusHost a(sim, "a", costs, profile,
-                     {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24}, mode);
-  core::PlexusHost b(sim, "b", costs, profile,
-                     {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24}, mode);
-  a.AttachTo(segment);
-  b.AttachTo(segment);
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  auto &a = lan.AddPlexus(1, "a", 1, mode), &b = lan.AddPlexus(2, "b", 1, mode);
 
   double total = 0;
   int count = 0;

@@ -25,6 +25,7 @@
 #include "net/mbuf_pool.h"
 #include "proto/http.h"
 #include "sim/batch.h"
+#include "tests/net_harness.h"
 
 namespace {
 
@@ -115,27 +116,24 @@ struct UdpRunResult {
 // `window` and measures echoed packets at a promiscuous sink tap.
 UdpRunResult RunUdpOverload(double offered_pps, sim::Duration window, bool protection,
                             bool traced) {
-  sim::Simulator sim;
-  if (traced) sim.tracer().SetEnabled(true);
-  drivers::EthernetSegment segment(sim);
   const auto costs = sim::CostModel::Default1996();
   const auto profile = SweepProfile(protection);
+  harness::Lan lan(profile);
+  sim::Simulator& sim = lan.sim;
+  if (traced) sim.tracer().SetEnabled(true);
 
-  core::PlexusHost server(sim, "server", costs, profile, {kServerMac, kServerIp, 24},
-                          core::HandlerMode::kThread);
+  core::PlexusHost& server = lan.AddPlexus(1, "server", 1, core::HandlerMode::kThread);
   if (!protection) {
     // Effectively unbounded deferred queue: the backlog is the livelock.
     server.deferred_queue().set_config({1u << 30, 1u << 29});
   }
-  server.AttachTo(segment);
-  server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
   server.arp().AddStatic(kClientIp, kClientMac);
 
   // The "client": a bare NIC tap that counts echo replies. Its own CPU never
   // bottlenecks (separate host).
   sim::Host sink_host(sim, "sink", costs);
   drivers::Nic sink(sink_host, profile, kClientMac);
-  sink.AttachMedium(&segment);
+  sink.AttachMedium(&lan.medium());
   std::uint64_t echoes = 0;
   sink.SetReceiveCallback([&echoes](net::MbufPtr) { ++echoes; });
 
@@ -193,18 +191,15 @@ UdpRunResult RunUdpOverload(double offered_pps, sim::Duration window, bool prote
 // Calibrates the echo capacity of the protected server: CPU busy time per
 // echoed packet at a trivially low offered load.
 double EchoCapacityPps() {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
   const auto costs = sim::CostModel::Default1996();
   const auto profile = SweepProfile(/*protection=*/true);
-  core::PlexusHost server(sim, "server", costs, profile, {kServerMac, kServerIp, 24},
-                          core::HandlerMode::kThread);
-  server.AttachTo(segment);
-  server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  harness::Lan lan(profile);
+  sim::Simulator& sim = lan.sim;
+  core::PlexusHost& server = lan.AddPlexus(1, "server", 1, core::HandlerMode::kThread);
   server.arp().AddStatic(kClientIp, kClientMac);
   sim::Host sink_host(sim, "sink", costs);
   drivers::Nic sink(sink_host, profile, kClientMac);
-  sink.AttachMedium(&segment);
+  sink.AttachMedium(&lan.medium());
   std::uint64_t echoes = 0;
   sink.SetReceiveCallback([&echoes](net::MbufPtr) { ++echoes; });
 
@@ -244,21 +239,11 @@ struct HttpRunResult {
 // `flood_multiplier` x capacity hammers the same NIC. With the defenses on,
 // request/response progress must continue under the flood.
 HttpRunResult RunHttpUnderFlood(double flood_pps, sim::Duration window) {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  const auto costs = sim::CostModel::Default1996();
-  const auto profile = SweepProfile(/*protection=*/true);
-
-  core::PlexusHost server(sim, "server", costs, profile, {kServerMac, kServerIp, 24},
-                          core::HandlerMode::kThread);
-  core::PlexusHost client(sim, "client", costs, SweepProfile(true),
-                          {kClientMac, kClientIp, 24}, core::HandlerMode::kThread);
-  server.AttachTo(segment);
-  client.AttachTo(segment);
-  server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  server.arp().AddStatic(kClientIp, kClientMac);
-  client.arp().AddStatic(kServerIp, kServerMac);
+  harness::Lan lan(SweepProfile(/*protection=*/true));
+  sim::Simulator& sim = lan.sim;
+  const auto mode = core::HandlerMode::kThread;
+  auto &server = lan.AddPlexus(1, "server", 1, mode), &client = lan.AddPlexus(2, "client", 1, mode);
+  lan.WarmArp();
 
   // The flood lands on a bound-but-silent port: it must be absorbed (or
   // shed) without ICMP backscatter amplifying the load.

@@ -24,6 +24,7 @@
 #include "proto/http.h"
 #include "sim/metrics.h"
 #include "sim/profiler.h"
+#include "tests/net_harness.h"
 
 namespace {
 
@@ -46,24 +47,11 @@ struct ScaleResult {
 ScaleResult RunScale(int n) {
   const auto wall_start = std::chrono::steady_clock::now();
 
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  drivers::Faults faults;
-  faults.drop_probability = 0.005;  // ~0.5% frame loss: RTO timers really fire
-  segment.set_faults(faults);
-
-  const auto costs = sim::CostModel::Default1996();
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  core::PlexusHost server(sim, "server", costs, profile,
-                          {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  core::PlexusHost client(sim, "client", costs, profile,
-                          {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  server.AttachTo(segment);
-  client.AttachTo(segment);
-  server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  server.arp().AddStatic(net::Ipv4Address(10, 0, 0, 2), net::MacAddress::FromId(2));
-  client.arp().AddStatic(net::Ipv4Address(10, 0, 0, 1), net::MacAddress::FromId(1));
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  lan.medium().set_faults({.drop_probability = 0.005});  // ~0.5% frame loss: RTOs really fire
+  auto &server = lan.AddPlexus(1, "server"), &client = lan.AddPlexus(2, "client");
+  lan.WarmArp();
 
   const std::string body(512, 'w');
   std::vector<std::unique_ptr<proto::HttpServerConnection>> server_conns;

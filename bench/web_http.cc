@@ -10,25 +10,16 @@
 #include "os/socket_host.h"
 #include "os/sockets.h"
 #include "proto/http.h"
+#include "tests/net_harness.h"
 
 namespace {
 
 // Time from connect() to full response received, for `body_bytes` pages.
 double PlexusHttpLatencyUs(std::size_t body_bytes) {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  const auto costs = sim::CostModel::Default1996();
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  core::PlexusHost server(sim, "server", costs, profile,
-                          {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  core::PlexusHost client(sim, "client", costs, profile,
-                          {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  server.AttachTo(segment);
-  client.AttachTo(segment);
-  server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  server.arp().AddStatic(net::Ipv4Address(10, 0, 0, 2), net::MacAddress::FromId(2));
-  client.arp().AddStatic(net::Ipv4Address(10, 0, 0, 1), net::MacAddress::FromId(1));
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  auto &server = lan.AddPlexus(1, "server"), &client = lan.AddPlexus(2, "client");
+  lan.WarmArp();
 
   const std::string body(body_bytes, 'w');
   std::vector<std::unique_ptr<proto::HttpServerConnection>> conns;
@@ -59,20 +50,10 @@ double PlexusHttpLatencyUs(std::size_t body_bytes) {
 }
 
 double DuHttpLatencyUs(std::size_t body_bytes) {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  const auto costs = sim::CostModel::Default1996();
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  os::SocketHost server(sim, "server", costs, profile,
-                        {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  os::SocketHost client(sim, "client", costs, profile,
-                        {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  server.AttachTo(segment);
-  client.AttachTo(segment);
-  server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  server.arp().AddStatic(net::Ipv4Address(10, 0, 0, 2), net::MacAddress::FromId(2));
-  client.arp().AddStatic(net::Ipv4Address(10, 0, 0, 1), net::MacAddress::FromId(1));
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  auto &server = lan.AddOs(1, "server"), &client = lan.AddOs(2, "client");
+  lan.WarmArp();
 
   const std::string body(body_bytes, 'w');
   std::vector<std::unique_ptr<proto::HttpServerConnection>> conns;

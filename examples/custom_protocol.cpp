@@ -40,8 +40,6 @@ int main() {
                             {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
   sender.AttachTo(link);
   receiver.AttachTo(link);
-  sender.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  receiver.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
 
   // --- The receiver-side extension, as a dynamically linked module --------
   std::shared_ptr<core::UdpEndpoint> rx_endpoint;

@@ -27,10 +27,7 @@ int main() {
                             {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
   core::PlexusHost backend(sim, "backend", costs, profile,
                            {net::MacAddress::FromId(3), net::Ipv4Address(10, 0, 0, 3), 24});
-  for (core::PlexusHost* h : {&client, &balancer, &backend}) {
-    h->AttachTo(segment);
-    h->ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  }
+  for (core::PlexusHost* h : {&client, &balancer, &backend}) h->AttachTo(segment);
 
   // The balancer installs a forwarding node into its protocol graph: all
   // packets for port 80 are redirected to the backend.

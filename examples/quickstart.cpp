@@ -26,10 +26,8 @@ int main() {
   core::PlexusHost beta(sim, "beta", sim::CostModel::Default1996(),
                         drivers::DeviceProfile::Ethernet10(),
                         {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  alpha.AttachTo(ethernet);
+  alpha.AttachTo(ethernet);  // 10.0.0.0/24 is on-link: the address brings its route
   beta.AttachTo(ethernet);
-  alpha.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);  // on-link
-  beta.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
 
   // 3. The echo "application" is a kernel extension on beta: it claims UDP
   //    port 7 from the protocol manager and installs an EPHEMERAL handler.

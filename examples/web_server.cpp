@@ -24,10 +24,7 @@ int main() {
                            {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
   core::PlexusHost monitor(sim, "monitor", costs, profile,
                            {net::MacAddress::FromId(3), net::Ipv4Address(10, 0, 0, 3), 24});
-  for (core::PlexusHost* h : {&server, &browser, &monitor}) {
-    h->AttachTo(segment);
-    h->ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  }
+  for (core::PlexusHost* h : {&server, &browser, &monitor}) h->AttachTo(segment);
 
   // In-kernel "site" with a hit counter.
   std::map<std::string, std::string> site = {

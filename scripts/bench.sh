@@ -24,8 +24,9 @@
 #   BENCH_chaos.json       Chaos recovery: per-fault recovery overhead and
 #                          goodput retention vs link-flap intensity
 #   BENCH_adversarial.json Hostile traffic: goodput retention under SYN flood
-#                          (cookies on/off) and blind-RST spray, plus the
-#                          1000-seed parser fuzz corpus verdict
+#                          (cookies on/off) and blind-RST spray (the
+#                          1000-seed parser fuzz corpus is the slow
+#                          fuzz_property_test, not a bench)
 # Also runs the gated microbenchmarks, whose exit statuses assert that
 # disabled tracing adds no measurable cost to Event::Raise, that indexed
 # dispatch at N=256 handlers is >=5x the linear scan, and that the timing
@@ -61,8 +62,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
   --json "$OUT_DIR/BENCH_scale.json"
 "$BUILD_DIR/bench/bench_overload_sweep" --json "$OUT_DIR/BENCH_overload.json"
 "$BUILD_DIR/bench/bench_chaos" --json "$OUT_DIR/BENCH_chaos.json"
-"$BUILD_DIR/bench/bench_adversarial" --fuzz-seeds 1000 \
-  --json "$OUT_DIR/BENCH_adversarial.json"
+"$BUILD_DIR/bench/bench_adversarial" --json "$OUT_DIR/BENCH_adversarial.json"
 
 echo "bench artifacts: $OUT_DIR/BENCH_fig5.json $OUT_DIR/BENCH_tab1.json" \
      "$OUT_DIR/BENCH_fig5_trace.json $OUT_DIR/BENCH_micro.json" \

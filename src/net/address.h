@@ -72,10 +72,14 @@ class Ipv4Address {
   constexpr bool IsBroadcast() const { return value() == 0xffffffff; }
   constexpr bool IsMulticast() const { return (b_[0] & 0xf0) == 0xe0; }
 
-  constexpr bool InSubnet(Ipv4Address network, int prefix_len) const {
-    if (prefix_len <= 0) return true;
+  // This address with its host bits cleared: the network it lies in.
+  constexpr Ipv4Address Network(int prefix_len) const {
+    if (prefix_len <= 0) return Any();
     const std::uint32_t mask = prefix_len >= 32 ? 0xffffffffu : ~((1u << (32 - prefix_len)) - 1);
-    return (value() & mask) == (network.value() & mask);
+    return Ipv4Address(value() & mask);
+  }
+  constexpr bool InSubnet(Ipv4Address network, int prefix_len) const {
+    return Network(prefix_len) == network.Network(prefix_len);
   }
 
   std::string ToString() const;

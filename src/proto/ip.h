@@ -103,7 +103,9 @@ class Ipv4Layer {
         reassembly_timeouts_(host.metrics().counter("ip.reassembly_timeouts")),
         forwarded_(host.metrics().counter("ip.forwarded")),
         ttl_exceeded_(host.metrics().counter("ip.ttl_exceeded")),
-        no_route_(host.metrics().counter("ip.no_route")) {}
+        no_route_(host.metrics().counter("ip.no_route")) {
+    AddConnectedRoute(0, config.address, config.prefix_len);
+  }
   // Cancels outstanding reassembly timers: the layer can die (host crash)
   // with fragments still buffered.
   ~Ipv4Layer() {
@@ -118,7 +120,11 @@ class Ipv4Layer {
   void set_forwarding(bool on) { config_.forwarding_enabled = on; }
 
   // Registers interface `if_index` (> 0); interface 0 comes from Config.
-  void AddInterface(int if_index, Interface iface) { extra_ifaces_[if_index] = iface; }
+  // Like the primary, it brings its connected route.
+  void AddInterface(int if_index, Interface iface) {
+    extra_ifaces_[if_index] = iface;
+    AddConnectedRoute(if_index, iface.address, iface.prefix_len);
+  }
 
   // Address/prefix/mtu of an interface (0 = primary).
   Interface InterfaceInfo(int if_index) const {
@@ -185,6 +191,12 @@ class Ipv4Layer {
   std::size_t reassembly_bytes_held() const { return reasm_bytes_; }
 
  private:
+  // An address brings its connected route: its network, on-link, out of
+  // its own interface (BSD's in_ifinit).
+  void AddConnectedRoute(int if_index, net::Ipv4Address address, int prefix_len) {
+    routes_.Add(address.Network(prefix_len), prefix_len, net::Ipv4Address::Any(), if_index);
+  }
+
   struct ReasmKey {
     std::uint32_t src, dst;
     std::uint16_t id;

@@ -70,7 +70,7 @@ struct ChaosConfig {
   double w_nic_stall = 1.0;
   double w_partition = 0.0;  // only meaningful with >= 3 hosts
   // Hostile-traffic windows: structure-aware mutated frames sprayed at one
-  // host's NIC (the harness binds a sim::PacketMutator seeded from aux), so
+  // host's NIC (the harness binds a PacketMutator seeded from aux), so
   // adversarial input composes with crashes, flaps, and partitions.
   double w_fuzz = 0.0;
 };

@@ -12,8 +12,7 @@
 // Cost discipline:
 //   * Disabled (the default), a probe is one relaxed load and one
 //     predictable branch — asserted < 2% of the raise path by
-//     bench_micro_dispatch. Defining PLEXUS_PROFILER_DISABLED at compile
-//     time removes even that (the macros expand to nothing).
+//     bench_micro_dispatch.
 //   * Enabled (PLEXUS_PROFILE=1 in the environment, or SetEnabled(true)),
 //     each probe takes two steady_clock reads. The profiler never touches
 //     the virtual clock, the schedulers, or any per-host state, so every
@@ -184,20 +183,9 @@ class ProfileScope {
 
 }  // namespace sim
 
-// Compile-time guard: -DPLEXUS_PROFILER_DISABLED strips every probe from
-// the binary. The default build keeps them behind the runtime check.
-#if defined(PLEXUS_PROFILER_DISABLED)
-#define PLEXUS_PROFILE_SCOPE(site) \
-  do {                             \
-  } while (false)
-#define PLEXUS_PROFILE_BYTES(counter, n) \
-  do {                                   \
-  } while (false)
-#else
 #define PLEXUS_PROFILE_SCOPE(site) \
   ::sim::ProfileScope plexus_profile_scope_##site(::sim::Profiler::site)
 #define PLEXUS_PROFILE_BYTES(counter, n) \
   ::sim::Profiler::AddBytes(::sim::Profiler::counter, (n))
-#endif
 
 #endif  // PLEXUS_SIM_PROFILER_H_

@@ -35,10 +35,15 @@
 
 namespace {
 
+using adversarial::AddServerAndClient;
 using adversarial::ArpReplyFrame;
+using adversarial::Counter;
 using adversarial::IcmpEchoBytes;
 using adversarial::InjectAt;
-using adversarial::Pair;
+using adversarial::kClientIp;
+using adversarial::kClientMac;
+using adversarial::kServerIp;
+using adversarial::kServerMac;
 using adversarial::TcpSegmentBytes;
 using adversarial::UdpDatagramBytes;
 using adversarial::WrapIp;
@@ -54,42 +59,44 @@ net::Ipv4Address SpoofedIp(int i) {
 // ---------------------------------------------------------------------------
 
 TEST(Adversarial, SynFloodWithoutCookiesBoundsEmbryonicState) {
-  Pair p;
+  harness::Lan p;
+  auto [server, client] = AddServerAndClient(p);
   proto::ListenOptions opts;
   opts.syn_backlog = 16;
   opts.cookies = proto::SynCookies::kNever;
-  ASSERT_TRUE(p.server.tcp().Listen(
+  ASSERT_TRUE(server.tcp().Listen(
       80, [](std::shared_ptr<core::PlexusTcpEndpoint>) {}, opts));
 
   for (int i = 0; i < 100; ++i) {
     auto seg = TcpSegmentBytes(static_cast<std::uint16_t>(1024 + i), 80,
                                static_cast<std::uint32_t>(1000 + i), 0,
                                net::tcpflag::kSyn, 8192, SpoofedIp(i),
-                               Pair::ServerIp());
-    InjectAt(p.sim, p.server,
+                               kServerIp);
+    InjectAt(p.sim, server,
              sim::Duration::Millis(1) + sim::Duration::Micros(100) * i,
-             WrapIp(Pair::ServerMac(), kAttackerMac, SpoofedIp(i),
-                    Pair::ServerIp(), net::ipproto::kTcp, seg));
+             WrapIp(kServerMac, kAttackerMac, SpoofedIp(i),
+                    kServerIp, net::ipproto::kTcp, seg));
   }
   p.sim.RunFor(sim::Duration::Millis(200));
 
   // The backlog held exactly its bound; everything past it was shed with no
   // state bought.
-  EXPECT_EQ(p.server.tcp().demux().embryonic_count(80), 16);
-  EXPECT_EQ(p.server.tcp().demux().connection_count(), 16u);
-  EXPECT_EQ(p.ServerCounter("tcp.listen_overflows"), 84u);
-  EXPECT_EQ(p.ServerCounter("tcp.syn_cookies_sent"), 0u);
+  EXPECT_EQ(server.tcp().demux().embryonic_count(80), 16);
+  EXPECT_EQ(server.tcp().demux().connection_count(), 16u);
+  EXPECT_EQ(Counter(server, "tcp.listen_overflows"), 84u);
+  EXPECT_EQ(Counter(server, "tcp.syn_cookies_sent"), 0u);
 
   // The embryonic TCBs exhaust their SYN|ACK retransmissions and die: the
   // flood leaves zero residue.
   p.sim.RunFor(sim::Duration::Seconds(60));
-  EXPECT_EQ(p.server.tcp().demux().embryonic_count(80), 0);
-  EXPECT_EQ(p.server.tcp().demux().connection_count(), 0u);
-  EXPECT_EQ(p.server.dispatcher().stats().quarantines, 0u);
+  EXPECT_EQ(server.tcp().demux().embryonic_count(80), 0);
+  EXPECT_EQ(server.tcp().demux().connection_count(), 0u);
+  EXPECT_EQ(server.dispatcher().stats().quarantines, 0u);
 }
 
 TEST(Adversarial, SynFloodWithCookiesKeepsLegitimateGoodput) {
-  Pair p;
+  harness::Lan p;
+  auto [server, client] = AddServerAndClient(p);
   std::vector<std::byte> payload(20 * 1024);
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::byte>((i * 37 + 11) & 0xff);
@@ -100,7 +107,7 @@ TEST(Adversarial, SynFloodWithCookiesKeepsLegitimateGoodput) {
   proto::ListenOptions opts;
   opts.syn_backlog = 16;
   opts.cookies = proto::SynCookies::kAuto;
-  ASSERT_TRUE(p.server.tcp().Listen(
+  ASSERT_TRUE(server.tcp().Listen(
       80,
       [&](std::shared_ptr<core::PlexusTcpEndpoint> ep) {
         core::PlexusTcpEndpoint* raw = ep.get();
@@ -118,19 +125,19 @@ TEST(Adversarial, SynFloodWithCookiesKeepsLegitimateGoodput) {
     auto seg = TcpSegmentBytes(static_cast<std::uint16_t>(2000 + i), 80,
                                static_cast<std::uint32_t>(5000 + i), 0,
                                net::tcpflag::kSyn, 8192, SpoofedIp(i),
-                               Pair::ServerIp());
-    InjectAt(p.sim, p.server,
+                               kServerIp);
+    InjectAt(p.sim, server,
              sim::Duration::Millis(1) + sim::Duration::Micros(500) * i,
-             WrapIp(Pair::ServerMac(), kAttackerMac, SpoofedIp(i),
-                    Pair::ServerIp(), net::ipproto::kTcp, seg));
+             WrapIp(kServerMac, kAttackerMac, SpoofedIp(i),
+                    kServerIp, net::ipproto::kTcp, seg));
   }
 
   // A legitimate client connects mid-flood and pushes 20 KiB.
   std::shared_ptr<core::PlexusTcpEndpoint> cep;
   bool client_closed = false;
   p.sim.Schedule(sim::Duration::Millis(50), [&] {
-    p.client.Run([&] {
-      cep = p.client.tcp().Connect(Pair::ServerIp(), 80);
+    client.Run([&] {
+      cep = client.tcp().Connect(kServerIp, 80);
       cep->SetOnClose([&] { client_closed = true; });
       cep->SetOnEstablished([&] {
         cep->Write(payload);
@@ -147,17 +154,18 @@ TEST(Adversarial, SynFloodWithCookiesKeepsLegitimateGoodput) {
 
   // Cookies engaged under pressure — the flood got stateless answers and
   // the legitimate handshake completed through one.
-  EXPECT_GE(p.ServerCounter("tcp.syn_cookies_sent"), 280u);
-  EXPECT_GE(p.ServerCounter("tcp.syn_cookies_accepted"), 1u);
-  EXPECT_LE(p.server.tcp().demux().embryonic_count(80), 16);
+  EXPECT_GE(Counter(server, "tcp.syn_cookies_sent"), 280u);
+  EXPECT_GE(Counter(server, "tcp.syn_cookies_accepted"), 1u);
+  EXPECT_LE(server.tcp().demux().embryonic_count(80), 16);
   // With cookies on, pressure never sheds silently.
-  EXPECT_EQ(p.ServerCounter("tcp.listen_overflows"), 0u);
-  EXPECT_EQ(p.server.dispatcher().stats().quarantines, 0u);
-  EXPECT_EQ(p.client.dispatcher().stats().quarantines, 0u);
+  EXPECT_EQ(Counter(server, "tcp.listen_overflows"), 0u);
+  EXPECT_EQ(server.dispatcher().stats().quarantines, 0u);
+  EXPECT_EQ(client.dispatcher().stats().quarantines, 0u);
 }
 
 TEST(Adversarial, CookieHandshakeDeliversExactBytesBothWays) {
-  Pair p;
+  harness::Lan p;
+  auto [server, client] = AddServerAndClient(p);
   std::vector<std::byte> c2s(8 * 1024), s2c(2 * 1024);
   for (std::size_t i = 0; i < c2s.size(); ++i) {
     c2s[i] = static_cast<std::byte>((i * 7 + 3) & 0xff);
@@ -171,7 +179,7 @@ TEST(Adversarial, CookieHandshakeDeliversExactBytesBothWays) {
   proto::ListenOptions opts;
   opts.syn_backlog = 4;
   opts.cookies = proto::SynCookies::kAlways;
-  ASSERT_TRUE(p.server.tcp().Listen(
+  ASSERT_TRUE(server.tcp().Listen(
       80,
       [&](std::shared_ptr<core::PlexusTcpEndpoint> ep) {
         core::PlexusTcpEndpoint* raw = ep.get();
@@ -187,8 +195,8 @@ TEST(Adversarial, CookieHandshakeDeliversExactBytesBothWays) {
   std::shared_ptr<core::PlexusTcpEndpoint> cep;
   bool client_closed = false;
   p.sim.Schedule(sim::Duration::Millis(1), [&] {
-    p.client.Run([&] {
-      cep = p.client.tcp().Connect(Pair::ServerIp(), 80);
+    client.Run([&] {
+      cep = client.tcp().Connect(kServerIp, 80);
       cep->SetOnData([&client_rx](std::span<const std::byte> d) {
         client_rx.insert(client_rx.end(), d.begin(), d.end());
       });
@@ -209,11 +217,11 @@ TEST(Adversarial, CookieHandshakeDeliversExactBytesBothWays) {
 
   // The whole handshake was stateless: never any embryonic TCB, and the
   // cookie round-tripped exactly once.
-  EXPECT_EQ(p.server.tcp().demux().embryonic_count(80), 0);
-  EXPECT_GE(p.ServerCounter("tcp.syn_cookies_sent"), 1u);
-  EXPECT_GE(p.ServerCounter("tcp.syn_cookies_accepted"), 1u);
-  EXPECT_EQ(p.ServerCounter("tcp.syn_cookies_rejected"), 0u);
-  EXPECT_EQ(p.ServerCounter("tcp.challenge_acks"), 0u);
+  EXPECT_EQ(server.tcp().demux().embryonic_count(80), 0);
+  EXPECT_GE(Counter(server, "tcp.syn_cookies_sent"), 1u);
+  EXPECT_GE(Counter(server, "tcp.syn_cookies_accepted"), 1u);
+  EXPECT_EQ(Counter(server, "tcp.syn_cookies_rejected"), 0u);
+  EXPECT_EQ(Counter(server, "tcp.challenge_acks"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -222,207 +230,123 @@ TEST(Adversarial, CookieHandshakeDeliversExactBytesBothWays) {
 // blind segments (right 4-tuple, wrong exact sequence) with valid checksums.
 // ---------------------------------------------------------------------------
 
-class TcpPipe {
- public:
-  static constexpr std::uint16_t kClientPort = 1000;
-  static constexpr std::uint16_t kServerPort = 80;
-  static net::Ipv4Address ClientIp() { return net::Ipv4Address(10, 0, 0, 2); }
-  static net::Ipv4Address ServerIp() { return net::Ipv4Address(10, 0, 0, 1); }
+// The pipe puts the client at 10.0.0.2:1000 and the server at 10.0.0.1:80,
+// 2 ms apart.
+const harness::TcpPipe::Config kBlindPipe{.client_name = "chost",
+                                          .server_name = "shost",
+                                          .client_seed = 7,
+                                          .server_seed = 8,
+                                          .client_ip = kClientIp,
+                                          .server_ip = kServerIp,
+                                          .delay = sim::Duration::Millis(2)};
 
-  TcpPipe()
-      : client_host_(sim_, "chost", sim::CostModel::Default1996(), 7),
-        server_host_(sim_, "shost", sim::CostModel::Default1996(), 8) {
-    client_ = std::make_unique<proto::TcpConnection>(
-        client_host_, proto::TcpConfig{},
-        proto::TcpEndpoints{ClientIp(), kClientPort, ServerIp(), kServerPort},
-        MakeCallbacks(/*from_client=*/true));
-    server_ = std::make_unique<proto::TcpConnection>(
-        server_host_, proto::TcpConfig{},
-        proto::TcpEndpoints{ServerIp(), kServerPort, ClientIp(), kClientPort},
-        MakeCallbacks(/*from_client=*/false));
-  }
+// Sequence bookkeeping for informed-ish blind injection: the server's
+// rcv_nxt and snd_una, from the sniffed ISSes and the bytes delivered.
+std::uint32_t ServerRcvNxt(const harness::TcpPipe& pipe) {
+  return pipe.client_iss + 1 + static_cast<std::uint32_t>(pipe.server_rx.size());
+}
+std::uint32_t ServerSndUna(const harness::TcpPipe& pipe) { return pipe.server_iss + 1; }
 
-  void Handshake() {
-    server_host_.Submit(sim::Priority::kKernel, [this] { server_->Listen(); });
-    sim_.RunFor(sim::Duration::Millis(1));
-    client_host_.Submit(sim::Priority::kKernel, [this] { client_->Connect(); });
-    sim_.RunFor(sim::Duration::Millis(200));
-    ASSERT_EQ(client_->state(), proto::TcpConnection::State::kEstablished);
-    ASSERT_EQ(server_->state(), proto::TcpConnection::State::kEstablished);
-  }
-
-  void SendFromClient(std::string_view s) {
-    client_host_.Submit(sim::Priority::kKernel,
-                        [this, str = std::string(s)] { client_->SendString(str); });
-    client_sent_ += s.size();
-  }
-
-  // Delivers a forged segment (client -> server 4-tuple, valid checksum)
-  // straight into the server connection at `at` from now.
-  void InjectToServerAt(sim::Duration at, std::uint8_t flags, std::uint32_t seq,
-                        std::uint32_t ack) {
-    sim_.Schedule(at, [this, flags, seq, ack] {
-      server_host_.Submit(sim::Priority::kKernel, [this, flags, seq, ack] {
-        auto seg = TcpSegmentBytes(kClientPort, kServerPort, seq, ack, flags,
-                                   8192, ClientIp(), ServerIp());
-        server_->Input(
-            net::Mbuf::FromBytes(std::as_bytes(std::span<const std::uint8_t>(seg))),
-            ClientIp(), ServerIp());
-      });
-    });
-  }
-
-  // Sequence bookkeeping for informed-ish blind injection.
-  std::uint32_t ServerRcvNxt() const {
-    return client_iss_ + 1 + static_cast<std::uint32_t>(client_sent_);
-  }
-  std::uint32_t ServerSndUna() const { return server_iss_ + 1; }
-
-  std::uint64_t ServerCounter(const char* name) {
-    return server_host_.metrics().counter(name).value();
-  }
-
-  sim::Simulator& sim() { return sim_; }
-  proto::TcpConnection& server() { return *server_; }
-  proto::TcpConnection& client() { return *client_; }
-  const std::string& server_rx() const { return server_rx_; }
-  bool server_reset() const { return server_reset_; }
-
- private:
-  proto::TcpConnection::Callbacks MakeCallbacks(bool from_client) {
-    proto::TcpConnection::Callbacks cb;
-    cb.send_segment = [this, from_client](net::MbufPtr seg, net::Ipv4Address src,
-                                          net::Ipv4Address dst) {
-      const net::TcpHeader h = net::ViewPacket<net::TcpHeader>(*seg);
-      if ((h.flags & net::tcpflag::kSyn) != 0) {
-        (from_client ? client_iss_ : server_iss_) = h.seq.value();
-      }
-      sim_.Schedule(
-          sim::Duration::Millis(2),
-          [this, from_client, s = std::move(seg), src, dst]() mutable {
-            sim::Host& peer_host = from_client ? server_host_ : client_host_;
-            peer_host.Submit(
-                sim::Priority::kKernel,
-                [this, from_client, s2 = std::move(s), src, dst]() mutable {
-                  proto::TcpConnection* peer =
-                      from_client ? server_.get() : client_.get();
-                  peer->Input(std::move(s2), src, dst);
-                });
-          });
-    };
-    if (from_client) {
-      cb.on_data = [this](std::span<const std::byte> d) {
-        client_rx_.append(reinterpret_cast<const char*>(d.data()), d.size());
-      };
-    } else {
-      cb.on_data = [this](std::span<const std::byte> d) {
-        server_rx_.append(reinterpret_cast<const char*>(d.data()), d.size());
-      };
-      cb.on_reset = [this](const std::string&) { server_reset_ = true; };
-    }
-    return cb;
-  }
-
-  sim::Simulator sim_;
-  sim::Host client_host_;
-  sim::Host server_host_;
-  std::unique_ptr<proto::TcpConnection> client_;
-  std::unique_ptr<proto::TcpConnection> server_;
-  std::uint32_t client_iss_ = 0;
-  std::uint32_t server_iss_ = 0;
-  std::size_t client_sent_ = 0;
-  std::string client_rx_;
-  std::string server_rx_;
-  bool server_reset_ = false;
-};
+// Delivers a forged segment (client -> server 4-tuple, valid checksum)
+// straight into the server connection at `at` from now.
+void InjectToServerAt(harness::TcpPipe& pipe, sim::Duration at, std::uint8_t flags,
+                      std::uint32_t seq, std::uint32_t ack) {
+  auto seg = TcpSegmentBytes(harness::TcpPipe::kClientPort, harness::TcpPipe::kServerPort, seq,
+                             ack, flags, 8192, kClientIp, kServerIp);
+  pipe.Inject(at, net::Mbuf::FromBytes(std::as_bytes(std::span<const std::uint8_t>(seg))));
+}
 
 TEST(Adversarial, BlindRstElicitsChallengeAckNotTeardown) {
-  TcpPipe pipe;
-  pipe.Handshake();
-  pipe.SendFromClient("hello server");
-  pipe.sim().RunFor(sim::Duration::Millis(100));
-  ASSERT_EQ(pipe.server_rx(), "hello server");
+  harness::TcpPipe pipe(kBlindPipe);
+  pipe.Create();
+  ASSERT_TRUE(pipe.Handshake(sim::Duration::Millis(200), sim::Duration::Millis(1)));
+  pipe.ClientSend("hello server");
+  pipe.sim.RunFor(sim::Duration::Millis(100));
+  ASSERT_EQ(pipe.ServerReceivedString(), "hello server");
 
   // In-window but not exactly rcv_nxt: a blind attacker's best shot. The
   // pre-RFC 5961 stack tears down here.
-  pipe.InjectToServerAt(sim::Duration::Millis(1), net::tcpflag::kRst,
-                        pipe.ServerRcvNxt() + 9, 0);
-  pipe.sim().RunFor(sim::Duration::Millis(100));
-  EXPECT_EQ(pipe.server().state(), proto::TcpConnection::State::kEstablished);
-  EXPECT_FALSE(pipe.server_reset());
-  EXPECT_GE(pipe.ServerCounter("tcp.challenge_acks"), 1u);
+  InjectToServerAt(pipe, sim::Duration::Millis(1), net::tcpflag::kRst,
+                        ServerRcvNxt(pipe) + 9, 0);
+  pipe.sim.RunFor(sim::Duration::Millis(100));
+  EXPECT_EQ(pipe.server->state(), proto::TcpConnection::State::kEstablished);
+  EXPECT_FALSE(pipe.server_reset);
+  EXPECT_GE(Counter(pipe.server_host, "tcp.challenge_acks"), 1u);
 
   // The connection still carries data after the attack...
-  pipe.SendFromClient(" again");
-  pipe.sim().RunFor(sim::Duration::Millis(100));
-  EXPECT_EQ(pipe.server_rx(), "hello server again");
+  pipe.ClientSend(" again");
+  pipe.sim.RunFor(sim::Duration::Millis(100));
+  EXPECT_EQ(pipe.ServerReceivedString(), "hello server again");
 
   // ...and a genuine exact-sequence RST (what the real peer sends after
   // answering a challenge ACK) still tears down.
-  pipe.InjectToServerAt(sim::Duration::Millis(1), net::tcpflag::kRst,
-                        pipe.ServerRcvNxt(), 0);
-  pipe.sim().RunFor(sim::Duration::Millis(100));
-  EXPECT_EQ(pipe.server().state(), proto::TcpConnection::State::kClosed);
-  EXPECT_TRUE(pipe.server_reset());
+  InjectToServerAt(pipe, sim::Duration::Millis(1), net::tcpflag::kRst,
+                        ServerRcvNxt(pipe), 0);
+  pipe.sim.RunFor(sim::Duration::Millis(100));
+  EXPECT_EQ(pipe.server->state(), proto::TcpConnection::State::kClosed);
+  EXPECT_TRUE(pipe.server_reset);
 }
 
 TEST(Adversarial, BlindSynElicitsChallengeAckNotTeardown) {
-  TcpPipe pipe;
-  pipe.Handshake();
-  pipe.SendFromClient("payload");
-  pipe.sim().RunFor(sim::Duration::Millis(100));
+  harness::TcpPipe pipe(kBlindPipe);
+  pipe.Create();
+  ASSERT_TRUE(pipe.Handshake(sim::Duration::Millis(200), sim::Duration::Millis(1)));
+  pipe.ClientSend("payload");
+  pipe.sim.RunFor(sim::Duration::Millis(100));
 
   // A blind in-window SYN used to RST the connection (pre-RFC 5961).
-  pipe.InjectToServerAt(sim::Duration::Millis(1), net::tcpflag::kSyn,
-                        pipe.ServerRcvNxt() + 40, 0);
-  pipe.sim().RunFor(sim::Duration::Millis(100));
-  EXPECT_EQ(pipe.server().state(), proto::TcpConnection::State::kEstablished);
-  EXPECT_FALSE(pipe.server_reset());
-  EXPECT_GE(pipe.ServerCounter("tcp.challenge_acks"), 1u);
+  InjectToServerAt(pipe, sim::Duration::Millis(1), net::tcpflag::kSyn,
+                        ServerRcvNxt(pipe) + 40, 0);
+  pipe.sim.RunFor(sim::Duration::Millis(100));
+  EXPECT_EQ(pipe.server->state(), proto::TcpConnection::State::kEstablished);
+  EXPECT_FALSE(pipe.server_reset);
+  EXPECT_GE(Counter(pipe.server_host, "tcp.challenge_acks"), 1u);
 
-  pipe.SendFromClient(" flows");
-  pipe.sim().RunFor(sim::Duration::Millis(100));
-  EXPECT_EQ(pipe.server_rx(), "payload flows");
+  pipe.ClientSend(" flows");
+  pipe.sim.RunFor(sim::Duration::Millis(100));
+  EXPECT_EQ(pipe.ServerReceivedString(), "payload flows");
 }
 
 TEST(Adversarial, AckFarBehindWindowElicitsChallengeAck) {
-  TcpPipe pipe;
-  pipe.Handshake();
-  pipe.SendFromClient("data");
-  pipe.sim().RunFor(sim::Duration::Millis(100));
+  harness::TcpPipe pipe(kBlindPipe);
+  pipe.Create();
+  ASSERT_TRUE(pipe.Handshake(sim::Duration::Millis(200), sim::Duration::Millis(1)));
+  pipe.ClientSend("data");
+  pipe.sim.RunFor(sim::Duration::Millis(100));
 
   // Exact in-sequence segment whose ACK is 3 MiB behind snd_una — far
   // outside the kMaxAckBehind tolerance, a blind-guess signature.
-  pipe.InjectToServerAt(sim::Duration::Millis(1), net::tcpflag::kAck,
-                        pipe.ServerRcvNxt(),
-                        pipe.ServerSndUna() - (3u << 20));
-  pipe.sim().RunFor(sim::Duration::Millis(100));
-  EXPECT_EQ(pipe.server().state(), proto::TcpConnection::State::kEstablished);
-  EXPECT_GE(pipe.ServerCounter("tcp.challenge_acks"), 1u);
+  InjectToServerAt(pipe, sim::Duration::Millis(1), net::tcpflag::kAck,
+                        ServerRcvNxt(pipe),
+                        ServerSndUna(pipe) - (3u << 20));
+  pipe.sim.RunFor(sim::Duration::Millis(100));
+  EXPECT_EQ(pipe.server->state(), proto::TcpConnection::State::kEstablished);
+  EXPECT_GE(Counter(pipe.server_host, "tcp.challenge_acks"), 1u);
 
-  pipe.SendFromClient(" lives");
-  pipe.sim().RunFor(sim::Duration::Millis(100));
-  EXPECT_EQ(pipe.server_rx(), "data lives");
+  pipe.ClientSend(" lives");
+  pipe.sim.RunFor(sim::Duration::Millis(100));
+  EXPECT_EQ(pipe.ServerReceivedString(), "data lives");
 }
 
 TEST(Adversarial, ChallengeAcksAreRateLimited) {
-  TcpPipe pipe;
-  pipe.Handshake();
-  pipe.SendFromClient("x");
-  pipe.sim().RunFor(sim::Duration::Millis(100));
+  harness::TcpPipe pipe(kBlindPipe);
+  pipe.Create();
+  ASSERT_TRUE(pipe.Handshake(sim::Duration::Millis(200), sim::Duration::Millis(1)));
+  pipe.ClientSend("x");
+  pipe.sim.RunFor(sim::Duration::Millis(100));
 
   // 50 blind RSTs in 10 ms: the bucket (4-deep, 10/s) answers the first
   // burst and swallows the rest — the challenge responder cannot be farmed
   // into an amplifier.
   for (int i = 0; i < 50; ++i) {
-    pipe.InjectToServerAt(sim::Duration::Micros(200) * i, net::tcpflag::kRst,
-                          pipe.ServerRcvNxt() + 3, 0);
+    InjectToServerAt(pipe, sim::Duration::Micros(200) * i, net::tcpflag::kRst,
+                          ServerRcvNxt(pipe) + 3, 0);
   }
-  pipe.sim().RunFor(sim::Duration::Millis(100));
-  EXPECT_EQ(pipe.server().state(), proto::TcpConnection::State::kEstablished);
-  const std::uint64_t sent = pipe.ServerCounter("tcp.challenge_acks");
+  pipe.sim.RunFor(sim::Duration::Millis(100));
+  EXPECT_EQ(pipe.server->state(), proto::TcpConnection::State::kEstablished);
+  const std::uint64_t sent = Counter(pipe.server_host, "tcp.challenge_acks");
   const std::uint64_t limited =
-      pipe.ServerCounter("tcp.challenge_acks_ratelimited");
+      Counter(pipe.server_host, "tcp.challenge_acks_ratelimited");
   EXPECT_GE(sent, 1u);
   EXPECT_LE(sent, 6u);
   EXPECT_GE(limited, 44u);
@@ -434,90 +358,93 @@ TEST(Adversarial, ChallengeAcksAreRateLimited) {
 // ---------------------------------------------------------------------------
 
 TEST(Adversarial, MalformedHeadersCountedPerLayer) {
-  Pair p;
+  harness::Lan p;
+  auto [server, client] = AddServerAndClient(p);
   const net::Ipv4Address aip(203, 0, 113, 7);
   sim::Duration at = sim::Duration::Millis(1);
   const sim::Duration step = sim::Duration::Millis(1);
 
   // Ethernet runt: 10 bytes cannot hold a 14-byte header.
-  InjectAt(p.sim, p.server, at, std::vector<std::uint8_t>(10, 0xaa));
+  InjectAt(p.sim, server, at, std::vector<std::uint8_t>(10, 0xaa));
   at = at + step;
   // ARP with an impossible opcode.
-  InjectAt(p.sim, p.server, at,
-           ArpReplyFrame(Pair::ServerMac(), kAttackerMac, aip,
-                         Pair::ServerMac(), Pair::ServerIp(), /*op=*/9));
+  InjectAt(p.sim, server, at,
+           ArpReplyFrame(kServerMac, kAttackerMac, aip,
+                         kServerMac, kServerIp, /*op=*/9));
   at = at + step;
   // IP header claiming version 5.
-  InjectAt(p.sim, p.server, at,
-           WrapIp(Pair::ServerMac(), kAttackerMac, aip, Pair::ServerIp(),
+  InjectAt(p.sim, server, at,
+           WrapIp(kServerMac, kAttackerMac, aip, kServerIp,
                   net::ipproto::kUdp, UdpDatagramBytes(7777, 9999, 8),
                   /*ip_id=*/1, /*frag_raw=*/0, /*version_ihl=*/0x55));
   at = at + step;
   // Fragment whose offset+length runs past the 64 KiB datagram limit.
-  InjectAt(p.sim, p.server, at,
-           WrapIp(Pair::ServerMac(), kAttackerMac, aip, Pair::ServerIp(),
+  InjectAt(p.sim, server, at,
+           WrapIp(kServerMac, kAttackerMac, aip, kServerIp,
                   net::ipproto::kUdp, UdpDatagramBytes(7777, 9999, 56),
                   /*ip_id=*/2, /*frag_raw=*/0x1fff));
   at = at + step;
   // ICMP message truncated below its own header.
-  InjectAt(p.sim, p.server, at,
-           WrapIp(Pair::ServerMac(), kAttackerMac, aip, Pair::ServerIp(),
+  InjectAt(p.sim, server, at,
+           WrapIp(kServerMac, kAttackerMac, aip, kServerIp,
                   net::ipproto::kIcmp, std::vector<std::uint8_t>{1, 2, 3, 4}));
   at = at + step;
   // UDP length field claiming more bytes than arrived.
-  InjectAt(p.sim, p.server, at,
-           WrapIp(Pair::ServerMac(), kAttackerMac, aip, Pair::ServerIp(),
+  InjectAt(p.sim, server, at,
+           WrapIp(kServerMac, kAttackerMac, aip, kServerIp,
                   net::ipproto::kUdp,
                   UdpDatagramBytes(7777, 9999, 8, /*claimed_len=*/100)));
   at = at + step;
   // TCP data offset stretched past the segment's actual bytes.
   auto tcp_lie = TcpSegmentBytes(4444, 80, 1, 0, net::tcpflag::kAck, 4096, aip,
-                                 Pair::ServerIp());
+                                 kServerIp);
   tcp_lie[12] = 0xf0;  // claims a 60-byte header in a 20-byte segment
-  InjectAt(p.sim, p.server, at,
-           WrapIp(Pair::ServerMac(), kAttackerMac, aip, Pair::ServerIp(),
+  InjectAt(p.sim, server, at,
+           WrapIp(kServerMac, kAttackerMac, aip, kServerIp,
                   net::ipproto::kTcp, tcp_lie));
 
   p.sim.RunFor(sim::Duration::Millis(100));
-  EXPECT_GE(p.ServerCounter("proto.eth.malformed_drops"), 1u);
-  EXPECT_GE(p.ServerCounter("proto.arp.malformed_drops"), 1u);
-  EXPECT_GE(p.ServerCounter("proto.ip.malformed_drops"), 2u);  // version + frag
-  EXPECT_GE(p.ServerCounter("proto.icmp.malformed_drops"), 1u);
-  EXPECT_GE(p.ServerCounter("proto.udp.malformed_drops"), 1u);
+  EXPECT_GE(Counter(server, "proto.eth.malformed_drops"), 1u);
+  EXPECT_GE(Counter(server, "proto.arp.malformed_drops"), 1u);
+  EXPECT_GE(Counter(server, "proto.ip.malformed_drops"), 2u);  // version + frag
+  EXPECT_GE(Counter(server, "proto.icmp.malformed_drops"), 1u);
+  EXPECT_GE(Counter(server, "proto.udp.malformed_drops"), 1u);
   // Under the batched path the data-offset lie can die at the GRO edge
   // instead of the demux; the sum is mode-invariant.
-  EXPECT_GE(p.ServerCounter("proto.tcp.malformed_drops") +
-                p.ServerCounter("proto.gro.malformed_drops"),
+  EXPECT_GE(Counter(server, "proto.tcp.malformed_drops") +
+                Counter(server, "proto.gro.malformed_drops"),
             1u);
-  EXPECT_EQ(p.server.dispatcher().stats().quarantines, 0u);
+  EXPECT_EQ(server.dispatcher().stats().quarantines, 0u);
 }
 
 TEST(Adversarial, FragmentFloodCountBounded) {
-  Pair p;
+  harness::Lan p;
+  auto [server, client] = AddServerAndClient(p);
   // 200 forged first-fragments, each a distinct (src, id) reassembly key
   // that will never complete.
   for (int i = 0; i < 200; ++i) {
-    InjectAt(p.sim, p.server,
+    InjectAt(p.sim, server,
              sim::Duration::Millis(1) + sim::Duration::Micros(50) * i,
-             WrapIp(Pair::ServerMac(), kAttackerMac, SpoofedIp(i),
-                    Pair::ServerIp(), net::ipproto::kUdp,
+             WrapIp(kServerMac, kAttackerMac, SpoofedIp(i),
+                    kServerIp, net::ipproto::kUdp,
                     UdpDatagramBytes(7777, 9999, 56),
                     static_cast<std::uint16_t>(100 + i), /*frag_raw=*/0x2000));
   }
   p.sim.RunFor(sim::Duration::Millis(100));
-  EXPECT_LE(p.server.ip_layer().pending_reassemblies(), 64u);
-  EXPECT_GE(p.ServerCounter("ip.reasm_overflow_drops"), 136u);
+  EXPECT_LE(server.ip_layer().pending_reassemblies(), 64u);
+  EXPECT_GE(Counter(server, "ip.reasm_overflow_drops"), 136u);
 
   // The TTL timer drains every parked buffer: the flood holds memory for at
   // most one reassembly timeout.
   p.sim.RunFor(sim::Duration::Seconds(35));
-  EXPECT_EQ(p.server.ip_layer().pending_reassemblies(), 0u);
-  EXPECT_EQ(p.server.ip_layer().reassembly_bytes_held(), 0u);
-  EXPECT_GE(p.ServerCounter("ip.reassembly_timeouts"), 64u);
+  EXPECT_EQ(server.ip_layer().pending_reassemblies(), 0u);
+  EXPECT_EQ(server.ip_layer().reassembly_bytes_held(), 0u);
+  EXPECT_GE(Counter(server, "ip.reassembly_timeouts"), 64u);
 }
 
 TEST(Adversarial, FragmentFloodBytesBounded) {
-  Pair p;
+  harness::Lan p;
+  auto [server, client] = AddServerAndClient(p);
   // 8 reassembly keys x 60 non-overlapping 1 KiB fragments = 480 KiB
   // offered against a 256 KiB budget. All carry more-fragments, so none
   // completes.
@@ -527,96 +454,100 @@ TEST(Adversarial, FragmentFloodBytesBounded) {
       const std::uint16_t frag_raw = static_cast<std::uint16_t>(
           0x2000 | ((j * 1024) / 8));
       auto l4 = std::vector<std::uint8_t>(1024, static_cast<std::uint8_t>(j));
-      InjectAt(p.sim, p.server,
+      InjectAt(p.sim, server,
                sim::Duration::Millis(1) + sim::Duration::Micros(20) * n,
-               WrapIp(Pair::ServerMac(), kAttackerMac, SpoofedIp(key),
-                      Pair::ServerIp(), net::ipproto::kUdp, l4,
+               WrapIp(kServerMac, kAttackerMac, SpoofedIp(key),
+                      kServerIp, net::ipproto::kUdp, l4,
                       static_cast<std::uint16_t>(500 + key), frag_raw));
     }
   }
   p.sim.RunFor(sim::Duration::Millis(100));
-  EXPECT_LE(p.server.ip_layer().reassembly_bytes_held(), 256u * 1024u);
-  EXPECT_GE(p.ServerCounter("ip.reasm_overflow_drops"), 1u);
+  EXPECT_LE(server.ip_layer().reassembly_bytes_held(), 256u * 1024u);
+  EXPECT_GE(Counter(server, "ip.reasm_overflow_drops"), 1u);
 
   p.sim.RunFor(sim::Duration::Seconds(35));
-  EXPECT_EQ(p.server.ip_layer().pending_reassemblies(), 0u);
-  EXPECT_EQ(p.server.ip_layer().reassembly_bytes_held(), 0u);
+  EXPECT_EQ(server.ip_layer().pending_reassemblies(), 0u);
+  EXPECT_EQ(server.ip_layer().reassembly_bytes_held(), 0u);
 }
 
 TEST(Adversarial, OverlappingFragmentsDropWholeBuffer) {
-  Pair p;
+  harness::Lan p;
+  auto [server, client] = AddServerAndClient(p);
   const net::Ipv4Address aip(203, 0, 113, 7);
   // Key 42: offset 0 then an overlapping offset 32 — RFC 5722 says the
   // whole buffer dies.
-  InjectAt(p.sim, p.server, sim::Duration::Millis(1),
-           WrapIp(Pair::ServerMac(), kAttackerMac, aip, Pair::ServerIp(),
+  InjectAt(p.sim, server, sim::Duration::Millis(1),
+           WrapIp(kServerMac, kAttackerMac, aip, kServerIp,
                   net::ipproto::kUdp, std::vector<std::uint8_t>(64, 0x11),
                   /*ip_id=*/42, /*frag_raw=*/0x2000));
-  InjectAt(p.sim, p.server, sim::Duration::Millis(2),
-           WrapIp(Pair::ServerMac(), kAttackerMac, aip, Pair::ServerIp(),
+  InjectAt(p.sim, server, sim::Duration::Millis(2),
+           WrapIp(kServerMac, kAttackerMac, aip, kServerIp,
                   net::ipproto::kUdp, std::vector<std::uint8_t>(64, 0x22),
                   /*ip_id=*/42, /*frag_raw=*/0x2000 | (32 / 8)));
   // Key 43: an exact duplicate is a retransmission, not an attack.
   for (int i = 0; i < 2; ++i) {
-    InjectAt(p.sim, p.server, sim::Duration::Millis(3) + sim::Duration::Millis(i),
-             WrapIp(Pair::ServerMac(), kAttackerMac, aip, Pair::ServerIp(),
+    InjectAt(p.sim, server, sim::Duration::Millis(3) + sim::Duration::Millis(i),
+             WrapIp(kServerMac, kAttackerMac, aip, kServerIp,
                     net::ipproto::kUdp, std::vector<std::uint8_t>(64, 0x33),
                     /*ip_id=*/43, /*frag_raw=*/0x2000));
   }
   p.sim.RunFor(sim::Duration::Millis(100));
   // 42 died (overlap), 43 survives (exact dup replaced in place).
-  EXPECT_EQ(p.server.ip_layer().pending_reassemblies(), 1u);
-  EXPECT_GE(p.ServerCounter("proto.ip.malformed_drops"), 1u);
+  EXPECT_EQ(server.ip_layer().pending_reassemblies(), 1u);
+  EXPECT_GE(Counter(server, "proto.ip.malformed_drops"), 1u);
   p.sim.RunFor(sim::Duration::Seconds(35));
-  EXPECT_EQ(p.server.ip_layer().pending_reassemblies(), 0u);
+  EXPECT_EQ(server.ip_layer().pending_reassemblies(), 0u);
 }
 
 TEST(Adversarial, OrphanRstResponderIsRateLimited) {
-  Pair p;
+  harness::Lan p;
+  auto [server, client] = AddServerAndClient(p);
   const net::Ipv4Address aip(203, 0, 113, 9);
   // 200 spoofed orphan segments in 10 ms, each demanding a RST reflection.
   for (int i = 0; i < 200; ++i) {
     auto seg = TcpSegmentBytes(4444, 7000, static_cast<std::uint32_t>(i), 99,
-                               net::tcpflag::kAck, 4096, aip, Pair::ServerIp());
-    InjectAt(p.sim, p.server,
+                               net::tcpflag::kAck, 4096, aip, kServerIp);
+    InjectAt(p.sim, server,
              sim::Duration::Millis(1) + sim::Duration::Micros(50) * i,
-             WrapIp(Pair::ServerMac(), kAttackerMac, aip, Pair::ServerIp(),
+             WrapIp(kServerMac, kAttackerMac, aip, kServerIp,
                     net::ipproto::kTcp, seg));
   }
   p.sim.RunFor(sim::Duration::Seconds(1));
   // The bucket (64-deep, 256/s) answered the head of the burst and counted
   // the rest; the RSTs it did emit died at no-route (spoofed source).
-  EXPECT_GE(p.ServerCounter("tcp.rst_ratelimited"), 100u);
-  EXPECT_LE(p.ServerCounter("tcp.rst_ratelimited"), 136u);
-  EXPECT_GE(p.ServerCounter("ip.no_route"), 1u);
-  EXPECT_EQ(p.server.dispatcher().stats().quarantines, 0u);
+  EXPECT_GE(Counter(server, "tcp.rst_ratelimited"), 100u);
+  EXPECT_LE(Counter(server, "tcp.rst_ratelimited"), 136u);
+  EXPECT_GE(Counter(server, "ip.no_route"), 1u);
+  EXPECT_EQ(server.dispatcher().stats().quarantines, 0u);
 }
 
 TEST(Adversarial, IcmpErrorsAreRateLimited) {
-  Pair p;
+  harness::Lan p;
+  auto [server, client] = AddServerAndClient(p);
   const net::Ipv4Address aip(203, 0, 113, 11);
   // 200 datagrams to a dead port in 10 ms: each wants a port-unreachable.
   for (int i = 0; i < 200; ++i) {
-    InjectAt(p.sim, p.server,
+    InjectAt(p.sim, server,
              sim::Duration::Millis(1) + sim::Duration::Micros(50) * i,
-             WrapIp(Pair::ServerMac(), kAttackerMac, aip, Pair::ServerIp(),
+             WrapIp(kServerMac, kAttackerMac, aip, kServerIp,
                     net::ipproto::kUdp, UdpDatagramBytes(4444, 9999, 24)));
   }
   p.sim.RunFor(sim::Duration::Seconds(1));
-  EXPECT_GE(p.ServerCounter("icmp.ratelimited"), 100u);
-  EXPECT_EQ(p.server.icmp().stats().ratelimited,
-            p.ServerCounter("icmp.ratelimited"));
-  EXPECT_EQ(p.server.dispatcher().stats().quarantines, 0u);
+  EXPECT_GE(Counter(server, "icmp.ratelimited"), 100u);
+  EXPECT_EQ(server.icmp().stats().ratelimited,
+            Counter(server, "icmp.ratelimited"));
+  EXPECT_EQ(server.dispatcher().stats().quarantines, 0u);
 }
 
 TEST(Adversarial, ArpResolutionFloodIsBounded) {
-  Pair p;
+  harness::Lan p;
+  auto [server, client] = AddServerAndClient(p);
   int failed_now = 0;
-  p.server.Run([&] {
+  server.Run([&] {
     for (int i = 0; i < 600; ++i) {
       const net::Ipv4Address target(172, 16, static_cast<std::uint8_t>(i / 250),
                                     static_cast<std::uint8_t>(1 + i % 250));
-      p.server.arp().Resolve(target, [&failed_now](std::optional<net::MacAddress> mac) {
+      server.arp().Resolve(target, [&failed_now](std::optional<net::MacAddress> mac) {
         if (!mac) ++failed_now;
       });
     }
@@ -624,20 +555,21 @@ TEST(Adversarial, ArpResolutionFloodIsBounded) {
   p.sim.RunFor(sim::Duration::Millis(10));
   // The pending table capped at 512: the overflow failed immediately
   // instead of buying timers and waiter lists.
-  EXPECT_GE(p.ServerCounter("arp.pending_overflow"), 88u);
+  EXPECT_GE(Counter(server, "arp.pending_overflow"), 88u);
   EXPECT_GE(failed_now, 88);
   // Every resolution (parked or shed) eventually fails — nothing leaks.
   p.sim.RunFor(sim::Duration::Seconds(5));
   EXPECT_EQ(failed_now, 600);
-  EXPECT_EQ(p.server.arp().stats().resolution_failures, 600u);
+  EXPECT_EQ(server.arp().stats().resolution_failures, 600u);
 }
 
 TEST(Adversarial, AcceptedKeepAliveSweepBoundsConnectionChurn) {
-  Pair p;
+  harness::Lan p;
+  auto [server, client] = AddServerAndClient(p);
   int verified = 0;
   std::size_t server_got = 0;
   std::vector<std::shared_ptr<core::PlexusTcpEndpoint>> keep;
-  ASSERT_TRUE(p.server.tcp().Listen(
+  ASSERT_TRUE(server.tcp().Listen(
       80, [&](std::shared_ptr<core::PlexusTcpEndpoint> ep) {
         core::PlexusTcpEndpoint* raw = ep.get();
         raw->SetOnData([&server_got](std::span<const std::byte> d) { server_got += d.size(); });
@@ -654,9 +586,9 @@ TEST(Adversarial, AcceptedKeepAliveSweepBoundsConnectionChurn) {
   std::vector<std::byte> blob(128, std::byte{0x5a});
   for (int i = 0; i < kConns; ++i) {
     p.sim.Schedule(sim::Duration::Millis(10) * i, [&, i] {
-      p.client.Run([&, i] {
+      client.Run([&, i] {
         auto& ep = conns[static_cast<std::size_t>(i)];
-        ep = p.client.tcp().Connect(Pair::ServerIp(), 80);
+        ep = client.tcp().Connect(kServerIp, 80);
         ep->SetOnClose([&] { ++closed; });
         ep->SetOnEstablished([&, i] {
           auto& cc = conns[static_cast<std::size_t>(i)];
@@ -674,8 +606,8 @@ TEST(Adversarial, AcceptedKeepAliveSweepBoundsConnectionChurn) {
   EXPECT_EQ(server_got, blob.size() * kConns);
   // The amortized sweep reaped closed keep-alives as churn crossed each
   // watermark — without it this sits at kConns.
-  EXPECT_LE(p.server.tcp().accepted_keepalive_count(), 150u);
-  EXPECT_EQ(p.server.dispatcher().stats().quarantines, 0u);
+  EXPECT_LE(server.tcp().accepted_keepalive_count(), 150u);
+  EXPECT_EQ(server.dispatcher().stats().quarantines, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -701,7 +633,8 @@ std::uint64_t RuntAccounting(bool batch_on) {
   ScopedBatchMode mode(batch_on);
   std::uint64_t sum = 0;
   {
-    Pair p;
+    harness::Lan p;
+  auto [server, client] = AddServerAndClient(p);
     const net::Ipv4Address aip(203, 0, 113, 7);
     // 12 bytes of "TCP" — dies at the structural check whichever edge
     // (GRO under batching, demux per-packet) sees it first.
@@ -710,14 +643,14 @@ std::uint64_t RuntAccounting(bool batch_on) {
       runt[i] = static_cast<std::uint8_t>(i + 1);
     }
     for (int i = 0; i < 40; ++i) {
-      InjectAt(p.sim, p.server, sim::Duration::Millis(1),
-               WrapIp(Pair::ServerMac(), kAttackerMac, aip, Pair::ServerIp(),
+      InjectAt(p.sim, server, sim::Duration::Millis(1),
+               WrapIp(kServerMac, kAttackerMac, aip, kServerIp,
                       net::ipproto::kTcp, runt,
                       static_cast<std::uint16_t>(1 + i)));
     }
     p.sim.RunFor(sim::Duration::Seconds(1));
-    sum = p.ServerCounter("proto.tcp.malformed_drops") +
-          p.ServerCounter("proto.gro.malformed_drops");
+    sum = Counter(server, "proto.tcp.malformed_drops") +
+          Counter(server, "proto.gro.malformed_drops");
   }
   return sum;
 }

@@ -21,10 +21,12 @@
 #include "core/plexus.h"
 #include "drivers/medium.h"
 #include "net/address.h"
+#include "net/checksum.h"
 #include "net/headers.h"
 #include "net/mbuf.h"
+#include "net_harness.h"
+#include "packet_mutator.h"
 #include "proto/transport_checksum.h"
-#include "sim/packet_mutator.h"
 #include "sim/simulator.h"
 #include "sim/slab.h"
 
@@ -32,17 +34,6 @@ namespace adversarial {
 
 inline constexpr std::size_t kEthLen = sizeof(net::EthernetHeader);  // 14
 inline constexpr std::size_t kIpLen = sizeof(net::Ipv4Header);       // 20
-
-// RFC 1071 ones'-complement checksum over a flat byte range.
-inline std::uint16_t Checksum16(const std::uint8_t* data, std::size_t len) {
-  std::uint32_t sum = 0;
-  for (std::size_t i = 0; i + 1 < len; i += 2) {
-    sum += static_cast<std::uint32_t>(data[i]) << 8 | data[i + 1];
-  }
-  if (len & 1) sum += static_cast<std::uint32_t>(data[len - 1]) << 8;
-  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
-  return static_cast<std::uint16_t>(~sum & 0xffff);
-}
 
 // A TCP segment (header + optional payload) with a valid transport checksum
 // for the given IP pair. The checksum is computed by the stack's own
@@ -100,7 +91,7 @@ inline std::vector<std::uint8_t> IcmpEchoBytes(std::size_t payload_len) {
   for (std::size_t i = 0; i < payload_len; ++i) {
     m[sizeof(net::IcmpHeader) + i] = static_cast<std::uint8_t>(i * 7 + 1);
   }
-  const std::uint16_t cks = Checksum16(m.data(), m.size());
+  const std::uint16_t cks = net::Checksum(std::as_bytes(std::span(m)));
   m[2] = static_cast<std::uint8_t>(cks >> 8);
   m[3] = static_cast<std::uint8_t>(cks & 0xff);
   return m;
@@ -134,7 +125,7 @@ inline std::vector<std::uint8_t> WrapIp(net::MacAddress dst_mac,
   ip.src = src_ip;
   ip.dst = dst_ip;
   std::memcpy(f.data() + kEthLen, &ip, kIpLen);
-  const std::uint16_t cks = Checksum16(f.data() + kEthLen, kIpLen);
+  const std::uint16_t cks = net::Checksum(std::as_bytes(std::span(f).subspan(kEthLen, kIpLen)));
   f[kEthLen + 10] = static_cast<std::uint8_t>(cks >> 8);
   f[kEthLen + 11] = static_cast<std::uint8_t>(cks & 0xff);
   if (!l4.empty()) {
@@ -216,45 +207,31 @@ inline std::vector<std::vector<std::uint8_t>> HostileTemplates(
   return t;
 }
 
-// Two Plexus hosts on one segment, fully routed/ARP'd, with the server's
-// retransmission ceiling lowered so embryonic TCBs from SYN floods die
-// within tens of virtual seconds instead of minutes.
-struct Pair {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment{sim};
-  core::PlexusHost server;
-  core::PlexusHost client;
+// The hostile-traffic network: the victim server at 10.0.0.1 and a
+// legitimate client at 10.0.0.2 on one segment, ARP warmed, with the
+// server's retransmission ceiling lowered so embryonic TCBs from SYN floods
+// die within tens of virtual seconds instead of minutes.
+inline constexpr net::Ipv4Address kServerIp = harness::Lan::Ip(1);
+inline constexpr net::Ipv4Address kClientIp = harness::Lan::Ip(2);
+inline constexpr net::MacAddress kServerMac = harness::Lan::Mac(1);
+inline constexpr net::MacAddress kClientMac = harness::Lan::Mac(2);
 
-  static net::Ipv4Address ServerIp() { return net::Ipv4Address(10, 0, 0, 1); }
-  static net::Ipv4Address ClientIp() { return net::Ipv4Address(10, 0, 0, 2); }
-  static net::MacAddress ServerMac() { return net::MacAddress::FromId(1); }
-  static net::MacAddress ClientMac() { return net::MacAddress::FromId(2); }
+inline std::pair<core::PlexusHost&, core::PlexusHost&> AddServerAndClient(harness::Lan& lan) {
+  core::PlexusHost& server = lan.AddPlexus(1, "server");
+  core::PlexusHost& client = lan.AddPlexus(2, "client");
+  lan.WarmArp();
+  proto::TcpConfig cfg = server.tcp().config();
+  cfg.rto_max = sim::Duration::Seconds(2);
+  server.tcp().set_config(cfg);
+  return {server, client};
+}
 
-  Pair()
-      : server(sim, "server", sim::CostModel::Default1996(),
-               drivers::DeviceProfile::Ethernet10(),
-               {ServerMac(), ServerIp(), 24}),
-        client(sim, "client", sim::CostModel::Default1996(),
-               drivers::DeviceProfile::Ethernet10(),
-               {ClientMac(), ClientIp(), 24}) {
-    server.AttachTo(segment);
-    client.AttachTo(segment);
-    server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    server.arp().AddStatic(ClientIp(), ClientMac());
-    client.arp().AddStatic(ServerIp(), ServerMac());
-    proto::TcpConfig cfg = server.tcp().config();
-    cfg.rto_max = sim::Duration::Seconds(2);
-    server.tcp().set_config(cfg);
-  }
-
-  std::uint64_t ServerCounter(const char* name) {
-    return server.host().metrics().counter(name).value();
-  }
-  std::uint64_t ClientCounter(const char* name) {
-    return client.host().metrics().counter(name).value();
-  }
-};
+inline std::uint64_t Counter(sim::Host& h, const char* name) {
+  return h.metrics().counter(name).value();
+}
+inline std::uint64_t Counter(proto::HostStack& h, const char* name) {
+  return Counter(h.host(), name);
+}
 
 // One seeded fuzz scenario: a legitimate 4 KiB transfer on port 80 while
 // `frames` structure-aware mutated hostile frames spray the server's NIC.
@@ -270,7 +247,8 @@ struct FuzzOutcome {
 };
 
 inline FuzzOutcome RunFuzzScenario(std::uint64_t seed, int frames) {
-  Pair p;
+  harness::Lan p;
+  auto [server, client] = AddServerAndClient(p);
   std::vector<std::byte> payload(4096);
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::byte>((seed + i * 31) & 0xff);
@@ -280,7 +258,7 @@ inline FuzzOutcome RunFuzzScenario(std::uint64_t seed, int frames) {
   std::vector<std::shared_ptr<core::PlexusTcpEndpoint>> keep;
   proto::ListenOptions opts;
   opts.syn_backlog = 32;
-  p.server.tcp().Listen(
+  server.tcp().Listen(
       80,
       [&](std::shared_ptr<core::PlexusTcpEndpoint> ep) {
         core::PlexusTcpEndpoint* raw = ep.get();
@@ -294,8 +272,8 @@ inline FuzzOutcome RunFuzzScenario(std::uint64_t seed, int frames) {
 
   std::shared_ptr<core::PlexusTcpEndpoint> cep;
   p.sim.Schedule(sim::Duration::Millis(1), [&] {
-    p.client.Run([&] {
-      cep = p.client.tcp().Connect(Pair::ServerIp(), 80);
+    client.Run([&] {
+      cep = client.tcp().Connect(kServerIp, 80);
       cep->SetOnEstablished([&] {
         cep->Write(payload);
         cep->CloseStream();
@@ -303,13 +281,13 @@ inline FuzzOutcome RunFuzzScenario(std::uint64_t seed, int frames) {
     });
   });
 
-  sim::PacketMutator mut(seed);
-  const auto templates = HostileTemplates(Pair::ServerMac(), Pair::ServerIp());
+  PacketMutator mut(seed);
+  const auto templates = HostileTemplates(kServerMac, kServerIp);
   for (int i = 0; i < frames; ++i) {
     std::vector<std::uint8_t> f =
         templates[static_cast<std::size_t>(i) % templates.size()];
     mut.Mutate(f);
-    InjectAt(p.sim, p.server,
+    InjectAt(p.sim, server,
              sim::Duration::Millis(2) + sim::Duration::Micros(150) * i,
              std::move(f));
   }
@@ -321,17 +299,17 @@ inline FuzzOutcome RunFuzzScenario(std::uint64_t seed, int frames) {
 
   FuzzOutcome out;
   out.transfer_exact = received == payload;
-  out.quarantines = p.server.dispatcher().stats().quarantines +
-                    p.client.dispatcher().stats().quarantines;
+  out.quarantines = server.dispatcher().stats().quarantines +
+                    client.dispatcher().stats().quarantines;
   for (const char* c :
        {"proto.eth.malformed_drops", "proto.arp.malformed_drops",
         "proto.ip.malformed_drops", "proto.icmp.malformed_drops",
         "proto.udp.malformed_drops", "proto.tcp.malformed_drops",
         "proto.gro.malformed_drops"}) {
-    out.malformed_total += p.ServerCounter(c);
+    out.malformed_total += Counter(server, c);
   }
-  out.pools_drained = p.server.mbuf_pool().in_use() == 0 &&
-                      p.client.mbuf_pool().in_use() == 0 &&
+  out.pools_drained = server.mbuf_pool().in_use() == 0 &&
+                      client.mbuf_pool().in_use() == 0 &&
                       sim::SlabRegistry::InUse("mbuf") == 0;
   return out;
 }

@@ -10,6 +10,7 @@
 #include "core/plexus.h"
 #include "drivers/device_profile.h"
 #include "drivers/medium.h"
+#include "net_harness.h"
 #include "os/socket_host.h"
 #include "os/sockets.h"
 #include "sim/simulator.h"
@@ -18,36 +19,17 @@ namespace app {
 namespace {
 
 using drivers::DeviceProfile;
-using drivers::EthernetSegment;
-using drivers::PointToPointLink;
-
-core::PlexusHost::NetConfig PlexusNet(int id) {
-  return {net::MacAddress::FromId(static_cast<std::uint32_t>(id)),
-          net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(id)), 24};
-}
-os::SocketHost::NetConfig OsNet(int id) {
-  return {net::MacAddress::FromId(static_cast<std::uint32_t>(id)),
-          net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(id)), 24};
-}
 
 TEST(Video, PlexusServerStreamsFramesOverT3) {
-  sim::Simulator sim;
-  PointToPointLink link(sim);
-  core::PlexusHost server(sim, "server", sim::CostModel::Default1996(), DeviceProfile::DecT3(),
-                          PlexusNet(1));
-  core::PlexusHost client(sim, "client", sim::CostModel::Default1996(), DeviceProfile::DecT3(),
-                          PlexusNet(2));
-  server.AttachTo(link);
-  client.AttachTo(link);
-  server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  harness::Lan net(DeviceProfile::DecT3());
+  auto &server = net.AddPlexus(1, "server"), &client = net.AddPlexus(2, "client");
 
   VideoConfig config;
   PlexusVideoServer video(server, config);
   PlexusVideoClient viewer(client, config.base_client_port);
   video.AddClient({net::Ipv4Address(10, 0, 0, 2), config.base_client_port});
   video.Start();
-  sim.RunFor(sim::Duration::Seconds(2));
+  net.sim.RunFor(sim::Duration::Seconds(2));
   video.Stop();
 
   // 2 seconds at 30 fps: ~60 frames (first tick at t=interval).
@@ -57,23 +39,15 @@ TEST(Video, PlexusServerStreamsFramesOverT3) {
 }
 
 TEST(Video, DuServerStreamsFrames) {
-  sim::Simulator sim;
-  PointToPointLink link(sim);
-  os::SocketHost server(sim, "du-server", sim::CostModel::Default1996(), DeviceProfile::DecT3(),
-                        OsNet(1));
-  os::SocketHost client(sim, "du-client", sim::CostModel::Default1996(), DeviceProfile::DecT3(),
-                        OsNet(2));
-  server.AttachTo(link);
-  client.AttachTo(link);
-  server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  harness::Lan net(DeviceProfile::DecT3());
+  auto &server = net.AddOs(1, "du-server"), &client = net.AddOs(2, "du-client");
 
   VideoConfig config;
   DuVideoServer video(server, config);
   DuVideoClient viewer(client, config.base_client_port);
   video.AddClient({net::Ipv4Address(10, 0, 0, 2), config.base_client_port});
   video.Start();
-  sim.RunFor(sim::Duration::Seconds(2));
+  net.sim.RunFor(sim::Duration::Seconds(2));
   video.Stop();
   EXPECT_GE(video.frames_sent(), 55u);
   EXPECT_GE(viewer.frames_displayed(), 55u);
@@ -81,33 +55,22 @@ TEST(Video, DuServerStreamsFrames) {
 
 // Server CPU utilization for N streams over one virtual second.
 double ServerCpuUtil(bool plexus, int n_streams) {
-  sim::Simulator sim;
-  PointToPointLink link(sim);
+  harness::Lan net(DeviceProfile::DecT3());
   VideoConfig config;
-
-  std::unique_ptr<core::PlexusHost> pserver;
-  std::unique_ptr<os::SocketHost> dserver;
-  core::PlexusHost sink_host(sim, "sink", sim::CostModel::Default1996(), DeviceProfile::DecT3(),
-                             PlexusNet(2));
-  std::vector<std::unique_ptr<VideoSink>> sinks;
-
   std::unique_ptr<PlexusVideoServer> pvideo;
   std::unique_ptr<DuVideoServer> dvideo;
+  sim::Host* server = nullptr;
   if (plexus) {
-    pserver = std::make_unique<core::PlexusHost>(sim, "server", sim::CostModel::Default1996(),
-                                                 DeviceProfile::DecT3(), PlexusNet(1));
-    pserver->AttachTo(link);
-    pserver->ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    pvideo = std::make_unique<PlexusVideoServer>(*pserver, config);
+    core::PlexusHost& h = net.AddPlexus(1, "server");
+    server = &h.host();
+    pvideo = std::make_unique<PlexusVideoServer>(h, config);
   } else {
-    dserver = std::make_unique<os::SocketHost>(sim, "server", sim::CostModel::Default1996(),
-                                               DeviceProfile::DecT3(), OsNet(1));
-    dserver->AttachTo(link);
-    dserver->ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    dvideo = std::make_unique<DuVideoServer>(*dserver, config);
+    os::SocketHost& h = net.AddOs(1, "server");
+    server = &h.host();
+    dvideo = std::make_unique<DuVideoServer>(h, config);
   }
-  sink_host.AttachTo(link);
-  sink_host.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  core::PlexusHost& sink_host = net.AddPlexus(2, "sink");
+  std::vector<std::unique_ptr<VideoSink>> sinks;
 
   for (int i = 0; i < n_streams; ++i) {
     const std::uint16_t port = static_cast<std::uint16_t>(config.base_client_port + i);
@@ -120,14 +83,13 @@ double ServerCpuUtil(bool plexus, int n_streams) {
     }
   }
 
-  sim::Host& host = pvideo ? pserver->host() : dserver->host();
   if (pvideo) pvideo->Start();
   if (dvideo) dvideo->Start();
   // Warm up ARP etc., then measure one second.
-  sim.RunFor(sim::Duration::Millis(200));
-  const sim::Duration busy_before = host.cpu().busy_total();
-  sim.RunFor(sim::Duration::Seconds(1));
-  const sim::Duration busy = host.cpu().busy_total() - busy_before;
+  net.sim.RunFor(sim::Duration::Millis(200));
+  const sim::Duration busy_before = server->cpu().busy_total();
+  net.sim.RunFor(sim::Duration::Seconds(1));
+  const sim::Duration busy = server->cpu().busy_total() - busy_before;
   return sim::Cpu::Utilization(busy, sim::Duration::Seconds(1));
 }
 
@@ -149,32 +111,16 @@ TEST(Video, UtilizationScalesWithStreams) {
 
 // --- Forwarders -------------------------------------------------------------------
 
-struct PlexusForwardNet {
-  PlexusForwardNet()
-      : segment(sim),
-        client(sim, "client", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-               PlexusNet(1)),
-        fwd(sim, "forwarder", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-            PlexusNet(2)),
-        backend(sim, "backend", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-                PlexusNet(3)) {
-    for (core::PlexusHost* h : {&client, &fwd, &backend}) {
-      h->AttachTo(segment);
-      h->ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    }
-  }
-  sim::Simulator sim;
-  EthernetSegment segment;
-  core::PlexusHost client, fwd, backend;
-};
-
 TEST(Forwarder, PlexusTcpForwarderPreservesEndToEndSemantics) {
-  PlexusForwardNet net;
-  PlexusTcpForwarder forwarder(net.fwd, 8080, net::Ipv4Address(10, 0, 0, 3), 80);
+  harness::Lan net;
+  auto& client = net.AddPlexus(1, "client");
+  auto& fwd = net.AddPlexus(2, "forwarder");
+  auto& backend = net.AddPlexus(3, "backend");
+  PlexusTcpForwarder forwarder(fwd, 8080, net::Ipv4Address(10, 0, 0, 3), 80);
 
   std::string backend_got;
   std::string client_got;
-  net.backend.tcp().Listen(80, [&](std::shared_ptr<core::PlexusTcpEndpoint> ep) {
+  backend.tcp().Listen(80, [&](std::shared_ptr<core::PlexusTcpEndpoint> ep) {
     ep->SetOnData([&, ep](std::span<const std::byte> d) {
       backend_got.append(reinterpret_cast<const char*>(d.data()), d.size());
       ep->WriteString("response-from-backend");
@@ -184,9 +130,9 @@ TEST(Forwarder, PlexusTcpForwarderPreservesEndToEndSemantics) {
 
   std::shared_ptr<core::PlexusTcpEndpoint> conn;
   bool closed = false;
-  net.client.Run([&] {
+  client.Run([&] {
     // The client talks to the FORWARDER's address; the backend serves it.
-    conn = net.client.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 8080);
+    conn = client.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 8080);
     conn->SetOnData([&](std::span<const std::byte> d) {
       client_got.append(reinterpret_cast<const char*>(d.data()), d.size());
     });
@@ -205,15 +151,18 @@ TEST(Forwarder, PlexusTcpForwarderPreservesEndToEndSemantics) {
   EXPECT_GT(forwarder.stats().returned, 0u);
   EXPECT_EQ(forwarder.stats().flows, 1u);
   // The forwarder host itself terminated no TCP connection.
-  EXPECT_EQ(net.fwd.tcp().demux().connection_count(), 0u);
+  EXPECT_EQ(fwd.tcp().demux().connection_count(), 0u);
 }
 
 TEST(Forwarder, PlexusUdpForwarderRelaysBothWays) {
-  PlexusForwardNet net;
-  PlexusUdpForwarder forwarder(net.fwd, 8080, net::Ipv4Address(10, 0, 0, 3), 7);
+  harness::Lan net;
+  auto& client = net.AddPlexus(1, "client");
+  auto& fwd = net.AddPlexus(2, "forwarder");
+  auto& backend = net.AddPlexus(3, "backend");
+  PlexusUdpForwarder forwarder(fwd, 8080, net::Ipv4Address(10, 0, 0, 3), 7);
 
   // Backend echo service.
-  auto echo = net.backend.udp().CreateEndpoint(7).value();
+  auto echo = backend.udp().CreateEndpoint(7).value();
   spin::HandlerOptions opts;
   opts.ephemeral = true;
   echo->InstallReceiveHandler(
@@ -222,11 +171,11 @@ TEST(Forwarder, PlexusUdpForwarderRelaysBothWays) {
       },
       opts);
 
-  auto cli = net.client.udp().CreateEndpoint(5000).value();
+  auto cli = client.udp().CreateEndpoint(5000).value();
   std::string got;
   cli->InstallReceiveHandler(
       [&](const net::Mbuf& p, const proto::UdpDatagram&) { got = p.ToString(); }, opts);
-  net.client.Run([&] {
+  client.Run([&] {
     cli->Send(net::Mbuf::FromString("udp-hello"), net::Ipv4Address(10, 0, 0, 2), 8080);
   });
   net.sim.RunFor(sim::Duration::Seconds(2));
@@ -235,32 +184,16 @@ TEST(Forwarder, PlexusUdpForwarderRelaysBothWays) {
   EXPECT_EQ(forwarder.returned(), 1u);
 }
 
-struct DuForwardNet {
-  DuForwardNet()
-      : segment(sim),
-        client(sim, "client", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-               OsNet(1)),
-        fwd(sim, "forwarder", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-            OsNet(2)),
-        backend(sim, "backend", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-                OsNet(3)) {
-    for (os::SocketHost* h : {&client, &fwd, &backend}) {
-      h->AttachTo(segment);
-      h->ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    }
-  }
-  sim::Simulator sim;
-  EthernetSegment segment;
-  os::SocketHost client, fwd, backend;
-};
-
 TEST(Forwarder, DuSplicerRelaysData) {
-  DuForwardNet net;
-  DuTcpSplicer splicer(net.fwd, 8080, net::Ipv4Address(10, 0, 0, 3), 80);
+  harness::Lan net;
+  auto& client = net.AddOs(1, "client");
+  auto& fwd = net.AddOs(2, "forwarder");
+  auto& backend = net.AddOs(3, "backend");
+  DuTcpSplicer splicer(fwd, 8080, net::Ipv4Address(10, 0, 0, 3), 80);
 
   std::string backend_got, client_got;
   std::shared_ptr<os::TcpSocket> backend_keep;
-  os::TcpListener backend_listener(net.backend, 80, [&](std::shared_ptr<os::TcpSocket> s) {
+  os::TcpListener backend_listener(backend, 80, [&](std::shared_ptr<os::TcpSocket> s) {
     backend_keep = s;
     s->SetOnData([&, sp = s.get()](std::span<const std::byte> d) {
       backend_got.append(reinterpret_cast<const char*>(d.data()), d.size());
@@ -268,11 +201,11 @@ TEST(Forwarder, DuSplicerRelaysData) {
     });
   });
 
-  auto client = os::TcpSocket::Connect(net.client, net::Ipv4Address(10, 0, 0, 2), 8080);
-  client->SetOnData([&](std::span<const std::byte> d) {
+  auto sock = os::TcpSocket::Connect(client, net::Ipv4Address(10, 0, 0, 2), 8080);
+  sock->SetOnData([&](std::span<const std::byte> d) {
     client_got.append(reinterpret_cast<const char*>(d.data()), d.size());
   });
-  client->SetOnEstablished([&] { client->WriteString("spliced-request"); });
+  sock->SetOnEstablished([&] { sock->WriteString("spliced-request"); });
   net.sim.RunFor(sim::Duration::Seconds(10));
   EXPECT_EQ(backend_got, "spliced-request");
   EXPECT_EQ(client_got, "spliced-response");
@@ -282,9 +215,12 @@ TEST(Forwarder, DuSplicerRelaysData) {
 
 // Request/response latency through each forwarder (the Figure 7 shape).
 double PlexusForwardRttUs() {
-  PlexusForwardNet net;
-  PlexusTcpForwarder forwarder(net.fwd, 8080, net::Ipv4Address(10, 0, 0, 3), 80);
-  net.backend.tcp().Listen(80, [&](std::shared_ptr<core::PlexusTcpEndpoint> ep) {
+  harness::Lan net;
+  auto& client = net.AddPlexus(1, "client");
+  auto& fwd = net.AddPlexus(2, "forwarder");
+  auto& backend = net.AddPlexus(3, "backend");
+  PlexusTcpForwarder forwarder(fwd, 8080, net::Ipv4Address(10, 0, 0, 3), 80);
+  backend.tcp().Listen(80, [&](std::shared_ptr<core::PlexusTcpEndpoint> ep) {
     ep->SetOnData([ep](std::span<const std::byte> d) { ep->Write(d); });  // echo
   });
 
@@ -293,10 +229,10 @@ double PlexusForwardRttUs() {
   sim::TimePoint sent;
   std::shared_ptr<core::PlexusTcpEndpoint> conn;
   std::function<void()> send_req;
-  net.client.Run([&] {
-    conn = net.client.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 8080);
+  client.Run([&] {
+    conn = client.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 8080);
     send_req = [&] {
-      net.client.Run([&] {
+      client.Run([&] {
         sent = net.sim.Now();
         conn->WriteString("XXXXXXXX");
       });
@@ -313,10 +249,13 @@ double PlexusForwardRttUs() {
 }
 
 double DuForwardRttUs() {
-  DuForwardNet net;
-  DuTcpSplicer splicer(net.fwd, 8080, net::Ipv4Address(10, 0, 0, 3), 80);
+  harness::Lan net;
+  auto& client = net.AddOs(1, "client");
+  auto& fwd = net.AddOs(2, "forwarder");
+  auto& backend = net.AddOs(3, "backend");
+  DuTcpSplicer splicer(fwd, 8080, net::Ipv4Address(10, 0, 0, 3), 80);
   std::shared_ptr<os::TcpSocket> backend_keep;
-  os::TcpListener backend_listener(net.backend, 80, [&](std::shared_ptr<os::TcpSocket> s) {
+  os::TcpListener backend_listener(backend, 80, [&](std::shared_ptr<os::TcpSocket> s) {
     backend_keep = s;
     s->SetOnData([sp = s.get()](std::span<const std::byte> d) { sp->Write(d); });
   });
@@ -324,9 +263,9 @@ double DuForwardRttUs() {
   double total = 0;
   int count = 0;
   sim::TimePoint sent;
-  auto conn = os::TcpSocket::Connect(net.client, net::Ipv4Address(10, 0, 0, 2), 8080);
+  auto conn = os::TcpSocket::Connect(client, net::Ipv4Address(10, 0, 0, 2), 8080);
   std::function<void()> send_req = [&] {
-    net.client.RunUser([&] {
+    client.RunUser([&] {
       sent = net.sim.Now();
       conn->WriteString("XXXXXXXX");
     });

@@ -43,6 +43,7 @@
 #include "core/plexus.h"
 #include "drivers/device_profile.h"
 #include "drivers/medium.h"
+#include "net_harness.h"
 #include "sim/cost_model.h"
 #include "sim/host.h"
 #include "sim/simulator.h"
@@ -270,24 +271,12 @@ StackOutcome RunTransfer(std::uint64_t seed, bool batched, bool gro,
   ScopedBatchMode m(batched);
   StackOutcome out;
   {
-    sim::Simulator sim;
-    drivers::EthernetSegment segment(sim, /*fault_seed=*/seed);
-    segment.set_faults(FaultsFor(seed));
-
-    const auto costs = sim::CostModel::Default1996();
-    const auto profile = drivers::DeviceProfile::Ethernet10();
-    core::PlexusHost server(sim, "server", costs, profile,
-                            {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24},
-                            mode, 1);
-    core::PlexusHost client(sim, "client", costs, profile,
-                            {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24},
-                            mode, 2);
-    server.AttachTo(segment);
-    client.AttachTo(segment);
-    server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    server.arp().AddStatic(net::Ipv4Address(10, 0, 0, 2), net::MacAddress::FromId(2));
-    client.arp().AddStatic(net::Ipv4Address(10, 0, 0, 1), net::MacAddress::FromId(1));
+    harness::Lan lan(drivers::DeviceProfile::Ethernet10(), /*fault_seed=*/seed);
+    sim::Simulator& sim = lan.sim;
+    lan.medium().set_faults(FaultsFor(seed));
+    auto& server = lan.AddPlexus(1, "server", 1, mode);
+    auto& client = lan.AddPlexus(2, "client", 2, mode);
+    lan.WarmArp();
     server.tcp().set_gro_enabled(gro);
     client.tcp().set_gro_enabled(gro);
 

@@ -32,6 +32,7 @@
 #include "core/plexus.h"
 #include "drivers/device_profile.h"
 #include "drivers/medium.h"
+#include "net_harness.h"
 #include "sim/chaos.h"
 #include "sim/simulator.h"
 #include "sim/slab.h"
@@ -50,8 +51,7 @@ int SeedCount() {
 }
 
 // Writes one flight-recorder JSON per host. Returns how many dumps landed.
-int DumpFlightRecorders(std::uint64_t seed,
-                        std::vector<std::unique_ptr<PlexusHost>>& hosts) {
+int DumpFlightRecorders(std::uint64_t seed, const std::vector<PlexusHost*>& hosts) {
   const char* env = std::getenv("PLEXUS_FLIGHT_DIR");
   const std::string dir = (env != nullptr && env[0] != '\0') ? env : ".";
   int dumped = 0;
@@ -82,28 +82,22 @@ struct RunOutcome {
 // One complete chaos run. Returns the outcome; all invariant failures are
 // reported through gtest with the schedule attached.
 void RunSeed(std::uint64_t seed, RunOutcome* out) {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  drivers::Medium& segment = lan.medium();
 
   constexpr int kHosts = 3;
-  std::vector<std::unique_ptr<PlexusHost>> hosts;
+  std::vector<PlexusHost*> hosts;
   for (int i = 0; i < kHosts; ++i) {
-    hosts.push_back(std::make_unique<PlexusHost>(
-        sim, "h" + std::to_string(i), sim::CostModel::Default1996(),
-        drivers::DeviceProfile::Ethernet10(),
-        PlexusHost::NetConfig{net::MacAddress::FromId(static_cast<std::uint64_t>(i + 1)),
-                              net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(i + 1)),
-                              24},
-        HandlerMode::kInterrupt, 1000 + static_cast<std::uint64_t>(i)));
-    hosts.back()->AttachTo(segment);
-    hosts.back()->ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+    hosts.push_back(
+        &lan.AddPlexus(i + 1, "h" + std::to_string(i), 1000 + static_cast<std::uint64_t>(i)));
   }
 
   // Survivable TCP settings: the retransmission death spiral must resolve
   // well inside the run, not after minutes of virtual 64s RTOs.
   proto::TcpConfig tcp_cfg;
   tcp_cfg.rto_max = sim::Duration::Seconds(4);
-  for (auto& h : hosts) h->tcp().set_config(tcp_cfg);
+  for (PlexusHost* h : hosts) h->tcp().set_config(tcp_cfg);
 
   app::EchoServer server(*hosts[2], 7777);
 

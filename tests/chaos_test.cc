@@ -16,6 +16,7 @@
 #include "core/plexus.h"
 #include "drivers/device_profile.h"
 #include "drivers/medium.h"
+#include "net_harness.h"
 #include "sim/chaos.h"
 #include "sim/simulator.h"
 
@@ -23,8 +24,6 @@ namespace {
 
 using core::HandlerMode;
 using core::PlexusHost;
-using drivers::DeviceProfile;
-using drivers::EthernetSegment;
 
 // --- ChaosSchedule -----------------------------------------------------------
 
@@ -92,74 +91,68 @@ TEST(ChaosSchedule, InstallFiresEveryEventAtItsInstant) {
 
 // --- fixture -----------------------------------------------------------------
 
-struct ChaosNet {
-  explicit ChaosNet(int n_hosts = 2) : segment(sim) {
-    for (int i = 0; i < n_hosts; ++i) {
-      hosts.push_back(std::make_unique<PlexusHost>(
-          sim, "h" + std::to_string(i), sim::CostModel::Default1996(),
-          DeviceProfile::Ethernet10(),
-          PlexusHost::NetConfig{net::MacAddress::FromId(static_cast<std::uint64_t>(i + 1)),
-                                net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(i + 1)),
-                                24},
-          HandlerMode::kInterrupt, 100 + static_cast<std::uint64_t>(i)));
-      hosts.back()->AttachTo(segment);
-      hosts.back()->ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    }
+// Hosts h0..h{n-1} at 10.0.0.1.. on one segment, seeded 100 + i.
+std::vector<PlexusHost*> AddHosts(harness::Lan& net, int n = 2) {
+  std::vector<PlexusHost*> hosts;
+  for (int i = 0; i < n; ++i) {
+    hosts.push_back(
+        &net.AddPlexus(i + 1, "h" + std::to_string(i), 100 + static_cast<std::uint64_t>(i)));
   }
+  return hosts;
+}
 
-  bool Ping(int from, int to, sim::Duration wait = sim::Duration::Seconds(2)) {
-    bool replied = false;
-    hosts[static_cast<std::size_t>(from)]->icmp().SetEchoReplyCallback(
-        [&](net::Ipv4Address, std::uint16_t, std::uint16_t) { replied = true; });
-    hosts[static_cast<std::size_t>(from)]->Run([&, to] {
-      hosts[static_cast<std::size_t>(from)]->icmp().SendEchoRequest(
-          net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(to + 1)), 7, seq++, 32);
-    });
-    sim.RunFor(wait);
-    hosts[static_cast<std::size_t>(from)]->icmp().SetEchoReplyCallback(nullptr);
-    return replied;
-  }
-
-  sim::Simulator sim;
-  EthernetSegment segment;
-  std::vector<std::unique_ptr<PlexusHost>> hosts;
-  std::uint16_t seq = 1;
-};
+// An echo request from `from` to host ordinal `to`: true if answered
+// within `wait`.
+bool Ping(harness::Lan& net, PlexusHost& from, int to,
+          sim::Duration wait = sim::Duration::Seconds(2)) {
+  static std::uint16_t seq = 1;
+  bool replied = false;
+  from.icmp().SetEchoReplyCallback(
+      [&](net::Ipv4Address, std::uint16_t, std::uint16_t) { replied = true; });
+  from.Run([&, to] {
+    from.icmp().SendEchoRequest(harness::Lan::Ip(to + 1), 7, seq++, 32);
+  });
+  net.sim.RunFor(wait);
+  from.icmp().SetEchoReplyCallback(nullptr);
+  return replied;
+}
 
 // --- carrier -----------------------------------------------------------------
 
 TEST(ChaosMedium, CarrierDownKillsTrafficAndNotifiesNics) {
-  ChaosNet net;
-  ASSERT_TRUE(net.Ping(0, 1));
+  harness::Lan net;
+  auto h = AddHosts(net);
+  ASSERT_TRUE(Ping(net, *h[0], 1));
 
-  net.segment.set_carrier(false);
-  EXPECT_FALSE(net.hosts[0]->nic().carrier());
-  EXPECT_FALSE(net.hosts[1]->nic().carrier());
-  const auto dropped_before = net.segment.frames_dropped_carrier();
-  EXPECT_FALSE(net.Ping(0, 1));
-  EXPECT_GT(net.segment.frames_dropped_carrier(), dropped_before);
+  net.medium().set_carrier(false);
+  EXPECT_FALSE(h[0]->nic().carrier());
+  EXPECT_FALSE(h[1]->nic().carrier());
+  const auto dropped_before = net.medium().frames_dropped_carrier();
+  EXPECT_FALSE(Ping(net, *h[0], 1));
+  EXPECT_GT(net.medium().frames_dropped_carrier(), dropped_before);
 
-  net.segment.set_carrier(true);
-  EXPECT_TRUE(net.hosts[0]->nic().carrier());
-  EXPECT_TRUE(net.Ping(0, 1));
+  net.medium().set_carrier(true);
+  EXPECT_TRUE(h[0]->nic().carrier());
+  EXPECT_TRUE(Ping(net, *h[0], 1));
   // The chaos-path instruments exist only because the link actually flapped.
-  EXPECT_GE(net.hosts[0]->host().metrics().counter("nic0.carrier_downs").value(), 1u);
+  EXPECT_GE(h[0]->host().metrics().counter("nic0.carrier_downs").value(), 1u);
 }
 
 // --- partition ---------------------------------------------------------------
 
 TEST(ChaosMedium, PartitionSeversGroupsAndHeals) {
-  ChaosNet net(3);
-  ASSERT_TRUE(net.Ping(0, 1));
-  ASSERT_TRUE(net.Ping(1, 2));
+  harness::Lan net;
+  auto h = AddHosts(net, 3);
+  ASSERT_TRUE(Ping(net, *h[0], 1));
+  ASSERT_TRUE(Ping(net, *h[1], 2));
 
-  net.segment.SetPartition(0b001);  // {h0} vs {h1, h2}
-  EXPECT_FALSE(net.Ping(0, 1));
-  EXPECT_GT(net.segment.frames_dropped_partition(), 0u);
-  EXPECT_TRUE(net.Ping(1, 2));  // same side still flows
+  net.medium().SetPartition(0b001);  // {h0} vs {h1, h2}
+  EXPECT_FALSE(Ping(net, *h[0], 1));
+  EXPECT_GT(net.medium().frames_dropped_partition(), 0u);
+  EXPECT_TRUE(Ping(net, *h[1], 2));  // same side still flows
 
-  net.segment.ClearPartition();
-  EXPECT_TRUE(net.Ping(0, 1));
+  net.medium().ClearPartition();
+  EXPECT_TRUE(Ping(net, *h[0], 1));
 }
 
 // --- Gilbert–Elliott burst loss ----------------------------------------------
@@ -207,9 +200,10 @@ TEST(ChaosMedium, GilbertElliottMarginalLossRateMatchesTheory) {
 // --- NIC stall ---------------------------------------------------------------
 
 TEST(ChaosNic, StallBuffersRingThenResumeDrains) {
-  ChaosNet net;
-  auto tx = net.hosts[0]->udp().CreateEndpoint(5000);
-  auto rx = net.hosts[1]->udp().CreateEndpoint(6000);
+  harness::Lan net;
+  auto h = AddHosts(net);
+  auto tx = h[0]->udp().CreateEndpoint(5000);
+  auto rx = h[1]->udp().CreateEndpoint(6000);
   ASSERT_TRUE(tx.ok());
   ASSERT_TRUE(rx.ok());
   int received = 0;
@@ -220,55 +214,56 @@ TEST(ChaosNic, StallBuffersRingThenResumeDrains) {
                       [&](const net::Mbuf&, const proto::UdpDatagram&) { ++received; }, opts)
                   .ok());
   // Prime ARP so the stalled window only carries UDP.
-  ASSERT_TRUE(net.Ping(0, 1));
+  ASSERT_TRUE(Ping(net, *h[0], 1));
 
-  net.hosts[1]->nic().SetStalled(true);
+  h[1]->nic().SetStalled(true);
   for (int i = 0; i < 4; ++i) {
-    net.hosts[0]->Run([&] {
+    h[0]->Run([&] {
       tx.value()->Send(net::Mbuf::FromString("stall " + std::to_string(i)),
                        net::Ipv4Address(10, 0, 0, 2), 6000);
     });
     net.sim.RunFor(sim::Duration::Millis(50));
   }
   EXPECT_EQ(received, 0);
-  EXPECT_GT(net.hosts[1]->nic().rx_ring_size(), 0u);
+  EXPECT_GT(h[1]->nic().rx_ring_size(), 0u);
 
-  net.hosts[1]->nic().SetStalled(false);
+  h[1]->nic().SetStalled(false);
   net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(received, 4);
-  EXPECT_EQ(net.hosts[1]->nic().rx_ring_size(), 0u);
-  EXPECT_GE(net.hosts[1]->host().metrics().counter("nic0.stalls").value(), 1u);
+  EXPECT_EQ(h[1]->nic().rx_ring_size(), 0u);
+  EXPECT_GE(h[1]->host().metrics().counter("nic0.stalls").value(), 1u);
 }
 
 // --- crash / cold restart ----------------------------------------------------
 
 TEST(ChaosCrash, CrashLosesAllProtocolStateAndLeaksNothing) {
-  ChaosNet net;
-  app::EchoServer server(*net.hosts[1], 7777);
+  harness::Lan net;
+  auto h = AddHosts(net);
+  app::EchoServer server(*h[1], 7777);
 
   // Mid-transfer crash: client writes a payload larger than one window.
   std::shared_ptr<core::PlexusTcpEndpoint> client_ep;
   std::optional<proto::StreamError> client_err;
   std::vector<std::byte> payload(256 * 1024, std::byte{0x5a});
-  net.hosts[0]->Run([&] {
-    client_ep = net.hosts[0]->tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 7777);
+  h[0]->Run([&] {
+    client_ep = h[0]->tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 7777);
     client_ep->SetOnError([&](proto::StreamError e) { client_err = e; });
     client_ep->Write(payload);
   });
   net.sim.RunFor(sim::Duration::Millis(300));
   EXPECT_GT(server.bytes_echoed(), 0u);  // transfer genuinely in flight
 
-  net.hosts[1]->Crash();
-  EXPECT_TRUE(net.hosts[1]->crashed());
+  h[1]->Crash();
+  EXPECT_TRUE(h[1]->crashed());
   // The dead machine holds no buffers: everything the protocol graph and
   // queued tasks owned went back to the pool at the power cut.
   net.sim.RunFor(sim::Duration::Seconds(2));  // in-flight wire frames retire
-  EXPECT_EQ(net.hosts[1]->host().mbuf_pool()->in_use(), 0u);
-  EXPECT_EQ(net.hosts[1]->host().metrics().counter("host.crashes").value(), 1u);
+  EXPECT_EQ(h[1]->host().mbuf_pool()->in_use(), 0u);
+  EXPECT_EQ(h[1]->host().metrics().counter("host.crashes").value(), 1u);
 
   // Reborn with a fresh graph: the old peer's retransmissions find no
   // connection in the demux and draw RSTs — ECONNRESET at the client.
-  net.hosts[1]->Restart();
+  h[1]->Restart();
   server.Rearm();
   net.sim.RunFor(sim::Duration::Seconds(90));
   ASSERT_TRUE(client_err.has_value());
@@ -277,35 +272,36 @@ TEST(ChaosCrash, CrashLosesAllProtocolStateAndLeaksNothing) {
   // The reborn host accepts fresh connections.
   std::shared_ptr<core::PlexusTcpEndpoint> again;
   bool established = false;
-  net.hosts[0]->Run([&] {
-    again = net.hosts[0]->tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 7777);
+  h[0]->Run([&] {
+    again = h[0]->tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 7777);
     again->SetOnEstablished([&] { established = true; });
   });
   net.sim.RunFor(sim::Duration::Seconds(5));
   EXPECT_TRUE(established);
-  EXPECT_EQ(net.hosts[1]->host().metrics().counter("host.restarts").value(), 1u);
+  EXPECT_EQ(h[1]->host().metrics().counter("host.restarts").value(), 1u);
 }
 
 TEST(ChaosCrash, CrashWithoutRestartTimesOutTheSurvivor) {
-  ChaosNet net;
-  app::EchoServer server(*net.hosts[1], 7777);
+  harness::Lan net;
+  auto h = AddHosts(net);
+  app::EchoServer server(*h[1], 7777);
   proto::TcpConfig fast;
   fast.rto_max = sim::Duration::Seconds(2);  // shorten the death spiral
-  net.hosts[0]->tcp().set_config(fast);
+  h[0]->tcp().set_config(fast);
 
   std::shared_ptr<core::PlexusTcpEndpoint> client_ep;
   std::optional<proto::StreamError> client_err;
   bool established = false;
-  net.hosts[0]->Run([&] {
-    client_ep = net.hosts[0]->tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 7777);
+  h[0]->Run([&] {
+    client_ep = h[0]->tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 7777);
     client_ep->SetOnError([&](proto::StreamError e) { client_err = e; });
     client_ep->SetOnEstablished([&] { established = true; });
   });
   net.sim.RunFor(sim::Duration::Seconds(1));
   ASSERT_TRUE(established);
 
-  net.hosts[1]->Crash();
-  net.hosts[0]->Run([&] {
+  h[1]->Crash();
+  h[0]->Run([&] {
     std::vector<std::byte> data(1024, std::byte{0x11});
     client_ep->Write(data);
   });
@@ -319,27 +315,28 @@ TEST(ChaosCrash, CrashWithoutRestartTimesOutTheSurvivor) {
 // --- ARP across restart (peer's link-layer state changed) --------------------
 
 TEST(ChaosArp, StaleEntryExpiresAndRelearnsNewMacAfterRestart) {
-  ChaosNet net;
-  ASSERT_TRUE(net.Ping(0, 1));
-  ASSERT_EQ(net.hosts[0]->arp().Lookup(net::Ipv4Address(10, 0, 0, 2)),
+  harness::Lan net;
+  auto h = AddHosts(net);
+  ASSERT_TRUE(Ping(net, *h[0], 1));
+  ASSERT_EQ(h[0]->arp().Lookup(net::Ipv4Address(10, 0, 0, 2)),
             net::MacAddress::FromId(2));
 
   // The peer reboots with a swapped adapter.
-  net.hosts[1]->Crash();
-  net.hosts[1]->Restart(net::MacAddress::FromId(99));
-  EXPECT_EQ(net.hosts[1]->mac(), net::MacAddress::FromId(99));
+  h[1]->Crash();
+  h[1]->Restart(net::MacAddress::FromId(99));
+  EXPECT_EQ(h[1]->mac(), net::MacAddress::FromId(99));
 
   // Frames to the cached (stale) MAC are filtered by the reborn NIC.
-  EXPECT_FALSE(net.Ping(0, 1));
+  EXPECT_FALSE(Ping(net, *h[0], 1));
 
   // Past the TTL the resolve path evicts the stale entry and re-resolves on
   // the wire, discovering the new adapter.
   net.sim.RunFor(sim::Duration::Seconds(601));
-  EXPECT_TRUE(net.Ping(0, 1));
-  EXPECT_EQ(net.hosts[0]->arp().Lookup(net::Ipv4Address(10, 0, 0, 2)),
+  EXPECT_TRUE(Ping(net, *h[0], 1));
+  EXPECT_EQ(h[0]->arp().Lookup(net::Ipv4Address(10, 0, 0, 2)),
             net::MacAddress::FromId(99));
-  EXPECT_GE(net.hosts[0]->arp().stats().expired, 1u);
-  EXPECT_GE(net.hosts[0]->host().metrics().counter("arp.expired").value(), 1u);
+  EXPECT_GE(h[0]->arp().stats().expired, 1u);
+  EXPECT_GE(h[0]->host().metrics().counter("arp.expired").value(), 1u);
 }
 
 // --- retry policy ------------------------------------------------------------
@@ -376,11 +373,12 @@ TEST(RetryPolicy, JitterIsBoundedAndSeedDeterministic) {
 // --- app-level recovery end to end -------------------------------------------
 
 TEST(ChaosRecovery, EchoClientRetriesThroughCrashAndSucceeds) {
-  ChaosNet net;
-  app::EchoServer server(*net.hosts[1], 7777);
+  harness::Lan net;
+  auto h = AddHosts(net);
+  app::EchoServer server(*h[1], 7777);
   proto::TcpConfig fast;
   fast.rto_max = sim::Duration::Seconds(2);
-  net.hosts[0]->tcp().set_config(fast);
+  h[0]->tcp().set_config(fast);
 
   std::vector<std::byte> payload;
   for (int i = 0; i < 192 * 1024; ++i) payload.push_back(static_cast<std::byte>(i * 31));
@@ -390,10 +388,10 @@ TEST(ChaosRecovery, EchoClientRetriesThroughCrashAndSucceeds) {
   policy.attempt_timeout = sim::Duration::Seconds(20);
   std::optional<app::RetryingEchoClient::Result> result;
   app::RetryingEchoClient client(
-      net.hosts[0]->host(),
+      h[0]->host(),
       [&] {
         return std::static_pointer_cast<proto::ByteStream>(
-            net.hosts[0]->tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 7777));
+            h[0]->tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 7777));
       },
       payload, policy, [&](const app::RetryingEchoClient::Result& r) { result = r; });
   client.Start();
@@ -401,9 +399,9 @@ TEST(ChaosRecovery, EchoClientRetriesThroughCrashAndSucceeds) {
   // Crash the server mid-transfer (192 KiB takes ~300 ms of 10 Mb/s wire
   // each way); reboot it two seconds later.
   net.sim.RunFor(sim::Duration::Millis(100));
-  net.hosts[1]->Crash();
+  h[1]->Crash();
   net.sim.RunFor(sim::Duration::Seconds(2));
-  net.hosts[1]->Restart();
+  h[1]->Restart();
   server.Rearm();
 
   net.sim.RunFor(sim::Duration::Seconds(120));
@@ -414,35 +412,36 @@ TEST(ChaosRecovery, EchoClientRetriesThroughCrashAndSucceeds) {
 }
 
 TEST(ChaosRecovery, HttpFetcherRetriesThroughLinkFlap) {
-  ChaosNet net;
+  harness::Lan net;
+  auto h = AddHosts(net);
   const std::string body(20'000, 'x');
-  net.hosts[1]->tcp().Listen(8080, [&](std::shared_ptr<core::PlexusTcpEndpoint> ep) {
+  h[1]->tcp().Listen(8080, [&](std::shared_ptr<core::PlexusTcpEndpoint> ep) {
     auto* server = new proto::HttpServerConnection(
         *ep, [&body](const std::string&) { return std::optional<std::string>(body); });
     ep->SetOnClose([server] { delete server; });
   });
   proto::TcpConfig fast;
   fast.rto_max = sim::Duration::Seconds(2);
-  net.hosts[0]->tcp().set_config(fast);
+  h[0]->tcp().set_config(fast);
 
   app::RetryPolicy policy;
   policy.max_attempts = 6;
   policy.attempt_timeout = sim::Duration::Seconds(15);
   std::optional<app::RetryingHttpFetcher::Result> result;
   app::RetryingHttpFetcher fetcher(
-      net.hosts[0]->host(),
+      h[0]->host(),
       [&] {
         return std::static_pointer_cast<proto::ByteStream>(
-            net.hosts[0]->tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 8080));
+            h[0]->tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 8080));
       },
       "/index.html", policy, [&](const app::RetryingHttpFetcher::Result& r) { result = r; });
   fetcher.Start();
 
   // A 3-second blackout in the middle of the fetch.
   net.sim.RunFor(sim::Duration::Millis(60));
-  net.segment.set_carrier(false);
+  net.medium().set_carrier(false);
   net.sim.RunFor(sim::Duration::Seconds(3));
-  net.segment.set_carrier(true);
+  net.medium().set_carrier(true);
 
   net.sim.RunFor(sim::Duration::Seconds(120));
   ASSERT_TRUE(result.has_value());

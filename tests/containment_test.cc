@@ -13,33 +13,11 @@
 #include "core/plexus.h"
 #include "drivers/device_profile.h"
 #include "drivers/medium.h"
+#include "net_harness.h"
 #include "sim/simulator.h"
 
 namespace core {
 namespace {
-
-using drivers::DeviceProfile;
-
-struct Pair {
-  Pair()
-      : segment(sim),
-        a(sim, "a", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-          {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24},
-          HandlerMode::kInterrupt, 1),
-        b(sim, "b", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-          {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24},
-          HandlerMode::kInterrupt, 2) {
-    a.AttachTo(segment);
-    b.AttachTo(segment);
-    a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    a.arp().AddStatic(net::Ipv4Address(10, 0, 0, 2), net::MacAddress::FromId(2));
-    b.arp().AddStatic(net::Ipv4Address(10, 0, 0, 1), net::MacAddress::FromId(1));
-  }
-  sim::Simulator sim;
-  drivers::EthernetSegment segment;
-  PlexusHost a, b;
-};
 
 // The acceptance scenario: a throwing handler, a measured-over-budget
 // handler, and an ephemeral-violating handler alongside healthy ones on
@@ -47,10 +25,12 @@ struct Pair {
 // kDefaultMaxStrikes; healthy handlers never miss a packet; the dispatcher
 // accounts for every injected fault.
 TEST(Containment, MisbehavingExtensionsAreQuarantinedHealthyOnesUnaffected) {
-  Pair net;
+  harness::Lan net;
+  auto &a = net.AddPlexus(1, "a", 1), &b = net.AddPlexus(2, "b", 2);
+  net.WarmArp();
   const int kSends = 10;
 
-  auto rx = net.b.udp().CreateEndpoint(7).value();
+  auto rx = b.udp().CreateEndpoint(7).value();
   spin::HandlerOptions healthy_opts;
   healthy_opts.ephemeral = true;
 
@@ -92,7 +72,7 @@ TEST(Containment, MisbehavingExtensionsAreQuarantinedHealthyOnesUnaffected) {
   auto overbudget = rx->InstallReceiveHandler(
       [&](const net::Mbuf&, const proto::UdpDatagram&) {
         ++overbudget_entered;
-        net.b.host().Charge(sim::Duration::Millis(5));  // blows the budget
+        b.host().Charge(sim::Duration::Millis(5));  // blows the budget
         ++overbudget_completed;                         // must be abandoned
       },
       budget_opts);
@@ -119,10 +99,10 @@ TEST(Containment, MisbehavingExtensionsAreQuarantinedHealthyOnesUnaffected) {
                     healthy_opts)
                   .ok());
 
-  net.b.dispatcher().ResetStats();
-  auto tx = net.a.udp().CreateEndpoint(5000).value();
+  b.dispatcher().ResetStats();
+  auto tx = a.udp().CreateEndpoint(5000).value();
   for (int i = 0; i < kSends; ++i) {
-    net.a.Run([&] {
+    a.Run([&] {
       tx->Send(net::Mbuf::FromString("probe"), net::Ipv4Address(10, 0, 0, 2), 7);
     });
   }
@@ -138,7 +118,7 @@ TEST(Containment, MisbehavingExtensionsAreQuarantinedHealthyOnesUnaffected) {
   EXPECT_EQ(overbudget_entered, kDefaultMaxStrikes);
   EXPECT_EQ(overbudget_completed, 0);  // side effects after the budget: abandoned
 
-  auto& ev = net.b.udp().packet_recv();
+  auto& ev = b.udp().packet_recv();
   const auto throw_stats = ev.stats(thrower.value());
   EXPECT_EQ(throw_stats.faults, static_cast<std::uint64_t>(kDefaultMaxStrikes));
   EXPECT_TRUE(throw_stats.quarantined);
@@ -155,7 +135,7 @@ TEST(Containment, MisbehavingExtensionsAreQuarantinedHealthyOnesUnaffected) {
 
   // Dispatcher-level accounting: every injected fault shows up, nothing
   // else does.
-  const auto ds = net.b.dispatcher().stats();
+  const auto ds = b.dispatcher().stats();
   EXPECT_EQ(ds.terminations, static_cast<std::uint64_t>(kDefaultMaxStrikes));
   EXPECT_EQ(ds.faults, static_cast<std::uint64_t>(2 * kDefaultMaxStrikes));
   EXPECT_EQ(ds.quarantines, 3u);
@@ -168,8 +148,10 @@ TEST(Containment, MisbehavingExtensionsAreQuarantinedHealthyOnesUnaffected) {
 }
 
 TEST(Containment, DescribeGraphShowsFaultCountsAndQuarantinedTombstones) {
-  Pair net;
-  auto rx = net.b.udp().CreateEndpoint(7).value();
+  harness::Lan net;
+  auto &a = net.AddPlexus(1, "a", 1), &b = net.AddPlexus(2, "b", 2);
+  net.WarmArp();
+  auto rx = b.udp().CreateEndpoint(7).value();
   spin::HandlerOptions opts;
   opts.ephemeral = true;
   opts.name = "crashy-extension";
@@ -179,15 +161,15 @@ TEST(Containment, DescribeGraphShowsFaultCountsAndQuarantinedTombstones) {
                     },
                     opts)
                   .ok());
-  auto tx = net.a.udp().CreateEndpoint(5000).value();
+  auto tx = a.udp().CreateEndpoint(5000).value();
   for (int i = 0; i < kDefaultMaxStrikes; ++i) {
-    net.a.Run([&] {
+    a.Run([&] {
       tx->Send(net::Mbuf::FromString("x"), net::Ipv4Address(10, 0, 0, 2), 7);
     });
   }
   net.sim.RunFor(sim::Duration::Seconds(2));
 
-  const std::string graph = net.b.DescribeGraph();
+  const std::string graph = b.DescribeGraph();
   EXPECT_NE(graph.find("crashy-extension"), std::string::npos);
   EXPECT_NE(graph.find("[quarantined]"), std::string::npos);
   EXPECT_NE(graph.find("faults=3"), std::string::npos);
@@ -198,22 +180,24 @@ TEST(Containment, DescribeGraphShowsFaultCountsAndQuarantinedTombstones) {
 TEST(Containment, QuarantinedUdpHandlerReleasesEndpointClaim) {
   // After quarantine the endpoint no longer tracks the handler, so a second
   // uninstall is a clean no-op and the endpoint keeps working.
-  Pair net;
-  auto rx = net.b.udp().CreateEndpoint(7).value();
+  harness::Lan net;
+  auto &a = net.AddPlexus(1, "a", 1), &b = net.AddPlexus(2, "b", 2);
+  net.WarmArp();
+  auto rx = b.udp().CreateEndpoint(7).value();
   spin::HandlerOptions opts;
   opts.ephemeral = true;
   auto bad = rx->InstallReceiveHandler(
       [](const net::Mbuf&, const proto::UdpDatagram&) { throw std::runtime_error("x"); }, opts);
   ASSERT_TRUE(bad.ok());
 
-  auto tx = net.a.udp().CreateEndpoint(5000).value();
+  auto tx = a.udp().CreateEndpoint(5000).value();
   for (int i = 0; i < kDefaultMaxStrikes; ++i) {
-    net.a.Run([&] {
+    a.Run([&] {
       tx->Send(net::Mbuf::FromString("x"), net::Ipv4Address(10, 0, 0, 2), 7);
     });
   }
   net.sim.RunFor(sim::Duration::Seconds(2));
-  EXPECT_TRUE(net.b.udp().packet_recv().stats(bad.value()).quarantined);
+  EXPECT_TRUE(b.udp().packet_recv().stats(bad.value()).quarantined);
   EXPECT_FALSE(rx->UninstallReceiveHandler(bad.value()));  // already gone
 
   // A replacement handler still receives traffic.
@@ -221,7 +205,7 @@ TEST(Containment, QuarantinedUdpHandlerReleasesEndpointClaim) {
   ASSERT_TRUE(rx->InstallReceiveHandler(
                     [&](const net::Mbuf&, const proto::UdpDatagram&) { ++ok; }, opts)
                   .ok());
-  net.a.Run([&] {
+  a.Run([&] {
     tx->Send(net::Mbuf::FromString("again"), net::Ipv4Address(10, 0, 0, 2), 7);
   });
   net.sim.RunFor(sim::Duration::Seconds(1));
@@ -232,7 +216,9 @@ TEST(Containment, QuarantinedSpecialTcpImplementationReleasesPorts) {
   // A special TCP implementation claims port 80; while it lives, the
   // standard implementation's guard excludes the port. Quarantine must hand
   // the port back so standard TCP serves it again.
-  Pair net;
+  harness::Lan net;
+  auto &a = net.AddPlexus(1, "a", 1), &b = net.AddPlexus(2, "b", 2);
+  net.WarmArp();
   spin::HandlerOptions opts;
   opts.ephemeral = true;
   opts.name = "broken-special-tcp";
@@ -240,23 +226,23 @@ TEST(Containment, QuarantinedSpecialTcpImplementationReleasesPorts) {
   opts.fault.on_quarantined = [&](spin::HandlerId, const spin::HandlerStats&) {
     notified = true;
   };
-  auto special = net.b.tcp().InstallSpecialImplementation(
+  auto special = b.tcp().InstallSpecialImplementation(
       {80},
       [](const net::Mbuf&, const net::Ipv4Header&) { throw std::runtime_error("bad tcp"); },
       opts);
   ASSERT_TRUE(special.ok());
 
   bool established = false;
-  net.b.tcp().Listen(80, [&](std::shared_ptr<PlexusTcpEndpoint>) { established = true; });
+  b.tcp().Listen(80, [&](std::shared_ptr<PlexusTcpEndpoint>) { established = true; });
 
   // Strike the special implementation out: each SYN retransmission reaches
   // only the broken handler until quarantine hands the port back.
   std::shared_ptr<PlexusTcpEndpoint> conn;
-  net.a.Run([&] { conn = net.a.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 80); });
+  a.Run([&] { conn = a.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 80); });
   net.sim.RunFor(sim::Duration::Seconds(30));
 
   EXPECT_TRUE(notified);
-  EXPECT_TRUE(net.b.tcp().packet_recv().stats(special.value()).quarantined);
+  EXPECT_TRUE(b.tcp().packet_recv().stats(special.value()).quarantined);
   // With the port released, the connection eventually established through
   // the standard implementation (SYN retransmissions survive the outage).
   EXPECT_TRUE(established);
@@ -265,8 +251,10 @@ TEST(Containment, QuarantinedSpecialTcpImplementationReleasesPorts) {
 TEST(Containment, AppIpProtocolHandlerIsGuardedAndContained) {
   // The IP manager's application install path: protocol-guarded handlers
   // with the same containment policy as every other manager.
-  Pair net;
-  ASSERT_FALSE(net.b.ip().InstallProtocolHandler(
+  harness::Lan net;
+  auto &a = net.AddPlexus(1, "a", 1), &b = net.AddPlexus(2, "b", 2);
+  net.WarmArp();
+  ASSERT_FALSE(b.ip().InstallProtocolHandler(
                       net::ipproto::kTcp,
                       [](const net::Mbuf&, const net::Ipv4Header&) {})
                    .ok());  // kernel-owned protocol refused
@@ -276,23 +264,23 @@ TEST(Containment, AppIpProtocolHandlerIsGuardedAndContained) {
   spin::HandlerOptions opts;
   opts.ephemeral = true;
   opts.name = "custom-transport";
-  auto id = net.b.ip().InstallProtocolHandler(
+  auto id = b.ip().InstallProtocolHandler(
       kCustomProto, [&](const net::Mbuf&, const net::Ipv4Header&) { ++seen; }, opts);
   ASSERT_TRUE(id.ok());
 
   // Reaches the custom handler; UDP traffic does not.
-  net.a.Run([&] {
-    net.a.ip().Output(net::Mbuf::FromString("custom-payload"), net::Ipv4Address(10, 0, 0, 2),
+  a.Run([&] {
+    a.ip().Output(net::Mbuf::FromString("custom-payload"), net::Ipv4Address(10, 0, 0, 2),
                       kCustomProto);
   });
-  auto tx = net.a.udp().CreateEndpoint(5000).value();
-  auto rx = net.b.udp().CreateEndpoint(7).value();
-  net.a.Run([&] {
+  auto tx = a.udp().CreateEndpoint(5000).value();
+  auto rx = b.udp().CreateEndpoint(7).value();
+  a.Run([&] {
     tx->Send(net::Mbuf::FromString("udp"), net::Ipv4Address(10, 0, 0, 2), 7);
   });
   net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(seen, 1);
-  EXPECT_TRUE(net.b.ip().Uninstall(id.value()));
+  EXPECT_TRUE(b.ip().Uninstall(id.value()));
 }
 
 }  // namespace

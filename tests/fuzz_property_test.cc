@@ -19,7 +19,6 @@
 
 #include "adversarial_util.h"
 #include "sim/chaos.h"
-#include "sim/packet_mutator.h"
 
 namespace {
 
@@ -54,7 +53,8 @@ TEST(FuzzProperty, EverySeedPreservesTransferAndDrainsPools) {
 // fixed injection cadences cannot.
 TEST(FuzzProperty, ChaosFuzzStormScheduleHoldsInvariants) {
   for (std::uint64_t schedule_seed = 1; schedule_seed <= 8; ++schedule_seed) {
-    adversarial::Pair p;
+    harness::Lan p;
+    auto [server, client] = adversarial::AddServerAndClient(p);
 
     std::vector<std::byte> payload(8192);
     for (std::size_t i = 0; i < payload.size(); ++i) {
@@ -64,7 +64,7 @@ TEST(FuzzProperty, ChaosFuzzStormScheduleHoldsInvariants) {
     std::vector<std::shared_ptr<core::PlexusTcpEndpoint>> keep;
     proto::ListenOptions opts;
     opts.syn_backlog = 32;
-    ASSERT_TRUE(p.server.tcp().Listen(
+    ASSERT_TRUE(server.tcp().Listen(
         80,
         [&](std::shared_ptr<core::PlexusTcpEndpoint> ep) {
           core::PlexusTcpEndpoint* raw = ep.get();
@@ -78,8 +78,8 @@ TEST(FuzzProperty, ChaosFuzzStormScheduleHoldsInvariants) {
 
     std::shared_ptr<core::PlexusTcpEndpoint> cep;
     p.sim.Schedule(sim::Duration::Millis(1), [&] {
-      p.client.Run([&] {
-        cep = p.client.tcp().Connect(adversarial::Pair::ServerIp(), 80);
+      client.Run([&] {
+        cep = client.tcp().Connect(adversarial::kServerIp, 80);
         cep->SetOnEstablished([&] {
           cep->Write(payload);
           cep->CloseStream();
@@ -106,20 +106,20 @@ TEST(FuzzProperty, ChaosFuzzStormScheduleHoldsInvariants) {
     struct Storm {
       bool active = false;
       int generation = 0;  // invalidates pumps from closed windows
-      std::unique_ptr<sim::PacketMutator> mutator;
+      std::unique_ptr<adversarial::PacketMutator> mutator;
     };
     auto storms = std::make_shared<std::vector<Storm>>(2);
     std::uint64_t injected = 0;
 
     auto target_of = [&](int ordinal) -> core::PlexusHost& {
-      return ordinal == 0 ? p.server : p.client;
+      return ordinal == 0 ? server : client;
     };
     auto templates_of = [&](int ordinal) {
       return ordinal == 0
-                 ? adversarial::HostileTemplates(adversarial::Pair::ServerMac(),
-                                                 adversarial::Pair::ServerIp())
-                 : adversarial::HostileTemplates(adversarial::Pair::ClientMac(),
-                                                 adversarial::Pair::ClientIp());
+                 ? adversarial::HostileTemplates(adversarial::kServerMac,
+                                                 adversarial::kServerIp)
+                 : adversarial::HostileTemplates(adversarial::kClientMac,
+                                                 adversarial::kClientIp);
     };
 
     std::function<void(int, int, int)> pump = [&](int ordinal, int generation,
@@ -145,7 +145,7 @@ TEST(FuzzProperty, ChaosFuzzStormScheduleHoldsInvariants) {
       if (e.kind == sim::ChaosKind::kFuzzStorm) {
         st.active = true;
         ++st.generation;
-        st.mutator = std::make_unique<sim::PacketMutator>(e.aux);
+        st.mutator = std::make_unique<adversarial::PacketMutator>(e.aux);
         pump(ordinal, st.generation, 0);
       } else if (e.kind == sim::ChaosKind::kFuzzCalm) {
         st.active = false;
@@ -161,13 +161,13 @@ TEST(FuzzProperty, ChaosFuzzStormScheduleHoldsInvariants) {
                             << " opened no storm window:\n"
                             << schedule.Describe();
     EXPECT_EQ(received, payload) << "schedule seed " << schedule_seed;
-    EXPECT_EQ(p.server.dispatcher().stats().quarantines, 0u)
+    EXPECT_EQ(server.dispatcher().stats().quarantines, 0u)
         << "schedule seed " << schedule_seed;
-    EXPECT_EQ(p.client.dispatcher().stats().quarantines, 0u)
+    EXPECT_EQ(client.dispatcher().stats().quarantines, 0u)
         << "schedule seed " << schedule_seed;
-    EXPECT_EQ(p.server.mbuf_pool().in_use(), 0u)
+    EXPECT_EQ(server.mbuf_pool().in_use(), 0u)
         << "schedule seed " << schedule_seed;
-    EXPECT_EQ(p.client.mbuf_pool().in_use(), 0u)
+    EXPECT_EQ(client.mbuf_pool().in_use(), 0u)
         << "schedule seed " << schedule_seed;
     EXPECT_EQ(sim::SlabRegistry::InUse("mbuf"), 0u)
         << "schedule seed " << schedule_seed;

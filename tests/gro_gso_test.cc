@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "batch_mode.h"
+#include "net_harness.h"
 #include "net/headers.h"
 #include "net/mbuf.h"
 #include "net/view.h"
@@ -281,86 +282,36 @@ TEST(Gro, CorruptedConstituentFailsVerificationAfterMerge) {
 
 // --- GSO: split at the emission edge -------------------------------------------
 
-// A minimal bidirectional pipe (tcp_test.cc's shape) that records every
-// client-emitted wire frame.
-class GsoPipe {
- public:
-  struct Frame {
-    net::TcpHeader hdr;
-    std::size_t payload_len;
-    bool checksum_ok;
-  };
-
-  explicit GsoPipe(TcpConfig cfg)
-      : client_host_(sim_, "client", sim::CostModel::Default1996(), 11),
-        server_host_(sim_, "server", sim::CostModel::Default1996(), 22) {
-    const net::Ipv4Address kClientIp(10, 0, 0, 1), kServerIp(10, 0, 0, 2);
-    client_ = std::make_unique<TcpConnection>(
-        client_host_, cfg, TcpEndpoints{kClientIp, 1000, kServerIp, 80},
-        MakeCallbacks(true));
-    server_ = std::make_unique<TcpConnection>(
-        server_host_, cfg, TcpEndpoints{kServerIp, 80, kClientIp, 1000},
-        MakeCallbacks(false));
-  }
-
-  TcpConnection::Callbacks MakeCallbacks(bool is_client) {
-    TcpConnection::Callbacks cbs;
-    cbs.send_segment = [this, is_client](net::MbufPtr seg, net::Ipv4Address src,
-                                         net::Ipv4Address dst) {
-      if (is_client) {
-        auto hdr = net::ViewPacket<net::TcpHeader>(*seg);
-        const std::size_t payload = seg->PacketLength() - hdr.header_length();
-        const std::uint16_t stored = hdr.checksum.value();
-        auto copy = net::Mbuf::FromBytes(seg->Linearize());
-        net::TcpHeader zeroed = hdr;
-        zeroed.checksum = 0;
-        net::StorePacket(*copy, zeroed);
-        const bool ok =
-            TransportChecksum(src, dst, net::ipproto::kTcp, *copy) == stored;
-        client_frames_.push_back({hdr, payload, ok});
-      }
-      auto shared = std::shared_ptr<net::Mbuf>(seg.release());
-      TcpConnection* peer = is_client ? server_.get() : client_.get();
-      sim::Host& ph = is_client ? server_host_ : client_host_;
-      sim_.Schedule(sim::Duration::Millis(5), [&ph, peer, shared, src, dst] {
-        ph.Submit(sim::Priority::kKernel, [peer, shared, src, dst] {
-          peer->Input(net::MbufPtr(shared->ShareClone()), src, dst);
-        });
-      });
-    };
-    if (!is_client) {
-      cbs.on_data = [this](std::span<const std::byte> d) {
-        server_rx_.append(reinterpret_cast<const char*>(d.data()), d.size());
-      };
-    }
-    return cbs;
-  }
-
-  void Transfer(const std::string& data) {
-    server_host_.Submit(sim::Priority::kKernel, [this] { server_->Listen(); });
-    client_host_.Submit(sim::Priority::kKernel, [this] { client_->Connect(); });
-    sim_.RunFor(sim::Duration::Seconds(2));
-    client_host_.Submit(sim::Priority::kKernel,
-                        [this, data] { client_->SendString(data); });
-    sim_.RunFor(sim::Duration::Seconds(10));
-  }
-
-  // Client data frames only (payload > 0), in emission order.
-  std::vector<Frame> DataFrames() const {
-    std::vector<Frame> r;
-    for (const auto& f : client_frames_)
-      if (f.payload_len > 0) r.push_back(f);
-    return r;
-  }
-
-  sim::Simulator sim_;
-  sim::Host client_host_;
-  sim::Host server_host_;
-  std::unique_ptr<TcpConnection> client_;
-  std::unique_ptr<TcpConnection> server_;
-  std::vector<Frame> client_frames_;
-  std::string server_rx_;
+// One client-emitted wire frame, as the pipe's tap recorded it.
+struct Frame {
+  net::TcpHeader hdr;
+  std::size_t payload_len;
+  bool checksum_ok;
 };
+
+// Connects over a harness pipe whose tap records every client frame, then
+// sends `data` from the client. Returns the client's data frames (payload >
+// 0) in emission order.
+std::vector<Frame> Transfer(harness::TcpPipe& pipe, TcpConfig cfg, const std::string& data) {
+  std::vector<Frame> frames;
+  pipe.tap = [&frames](harness::TcpPipe::Segment& s) {
+    if (!s.from_client) return true;
+    auto copy = net::Mbuf::FromBytes(s.packet.Linearize());
+    net::TcpHeader zeroed = s.hdr;
+    zeroed.checksum = 0;
+    net::StorePacket(*copy, zeroed);
+    const bool ok =
+        TransportChecksum(s.src, s.dst, net::ipproto::kTcp, *copy) == s.hdr.checksum.value();
+    if (s.payload_len > 0) frames.push_back({s.hdr, s.payload_len, ok});
+    return true;
+  };
+  pipe.Create(cfg, cfg);
+  pipe.Handshake(sim::Duration::Seconds(2));
+  pipe.ClientSend(data);
+  pipe.sim.RunFor(sim::Duration::Seconds(10));
+  pipe.tap = nullptr;
+  return frames;
+}
 
 TcpConfig SmallMssConfig() {
   TcpConfig cfg;
@@ -374,21 +325,19 @@ TEST(Gso, SplitFramesAreWireIdenticalToThePerPacketPath) {
   const std::string data(350, 'x');
 
   ScopedBatchMode off(false);
-  GsoPipe baseline(SmallMssConfig());
-  baseline.Transfer(data);
-  ASSERT_EQ(baseline.server_rx_.size(), data.size());
-  EXPECT_EQ(baseline.client_->stats().gso_jumbos, 0u);
+  harness::TcpPipe baseline;
+  const auto a = Transfer(baseline, SmallMssConfig(), data);
+  ASSERT_EQ(baseline.server_rx.size(), data.size());
+  EXPECT_EQ(baseline.client->stats().gso_jumbos, 0u);
 
   ScopedBatchMode on(true);
-  GsoPipe gso(SmallMssConfig());
-  gso.Transfer(data);
-  ASSERT_EQ(gso.server_rx_, data);
-  EXPECT_GE(gso.client_->stats().gso_jumbos, 1u);
+  harness::TcpPipe gso;
+  const auto b = Transfer(gso, SmallMssConfig(), data);
+  ASSERT_EQ(gso.ServerReceivedString(), data);
+  EXPECT_GE(gso.client->stats().gso_jumbos, 1u);
 
   // Same wire frames: boundaries, seq, flags (PSH only where the send
   // buffer ends), windows, and a valid checksum in every header.
-  const auto a = baseline.DataFrames();
-  const auto b = gso.DataFrames();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE(i);
@@ -400,14 +349,13 @@ TEST(Gso, SplitFramesAreWireIdenticalToThePerPacketPath) {
   }
   // The split got the same bytes there in fewer emission passes: the jumbo
   // counter advanced and the total wire segment count did not.
-  EXPECT_EQ(gso.client_->stats().segments_sent, baseline.client_->stats().segments_sent);
+  EXPECT_EQ(gso.client->stats().segments_sent, baseline.client->stats().segments_sent);
 }
 
 TEST(Gso, PshLandsOnlyOnTheFrameEndingAtTheBufferEdge) {
   ScopedBatchMode on(true);
-  GsoPipe pipe(SmallMssConfig());
-  pipe.Transfer(std::string(350, 'y'));
-  const auto frames = pipe.DataFrames();
+  harness::TcpPipe pipe;
+  const auto frames = Transfer(pipe, SmallMssConfig(), std::string(350, 'y'));
   ASSERT_GE(frames.size(), 2u);
   std::size_t psh_count = 0;
   for (std::size_t i = 0; i < frames.size(); ++i) {
@@ -423,10 +371,10 @@ TEST(Gso, DisabledByGsoSegmentsOne) {
   ScopedBatchMode on(true);
   TcpConfig cfg = SmallMssConfig();
   cfg.gso_segments = 1;
-  GsoPipe pipe(cfg);
-  pipe.Transfer(std::string(350, 'z'));
-  EXPECT_EQ(pipe.server_rx_.size(), 350u);
-  EXPECT_EQ(pipe.client_->stats().gso_jumbos, 0u);
+  harness::TcpPipe pipe;
+  Transfer(pipe, cfg, std::string(350, 'z'));
+  EXPECT_EQ(pipe.server_rx.size(), 350u);
+  EXPECT_EQ(pipe.client->stats().gso_jumbos, 0u);
 }
 
 }  // namespace

@@ -41,8 +41,6 @@ struct IpFixture {
       : host(sim, "h", sim::CostModel::Default1996()),
         tx_layer(host, {net::Ipv4Address(10, 0, 0, 1), 24, 1500}),
         rx_layer(host, {net::Ipv4Address(10, 0, 0, 2), 24, 1500}) {
-    tx_layer.routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    rx_layer.routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
     tx_layer.SetTransmit([this](net::MbufPtr p, net::Ipv4Address next_hop, int) {
       sent.push_back(p->Linearize());
       next_hops.push_back(next_hop);

@@ -40,16 +40,11 @@ struct CrossDeviceNet {
     router.AttachNicTo(t3_if, t3);
     server.AttachTo(t3);
 
-    client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 1, 0), 24);
     client.ip_layer().routes().AddDefault(net::Ipv4Address(10, 0, 1, 1));
 
+    // Each router interface brings its own subnet's route.
     router.ip_layer().set_forwarding(true);
-    router.ip_layer().routes().Add(net::Ipv4Address(10, 0, 1, 0), 24, net::Ipv4Address::Any(),
-                                   /*if_index=*/0);
-    router.ip_layer().routes().Add(net::Ipv4Address(10, 0, 2, 0), 24, net::Ipv4Address::Any(),
-                                   t3_if);
 
-    server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 2, 0), 24);
     server.ip_layer().routes().AddDefault(net::Ipv4Address(10, 0, 2, 1));
   }
 
@@ -234,13 +229,8 @@ TEST(MultiHome, BaselineOsRouterAlsoForwards) {
   router.AttachNicTo(t3_if, t3);
   server.AttachTo(t3);
 
-  client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 1, 0), 24);
   client.ip_layer().routes().AddDefault(net::Ipv4Address(10, 0, 1, 1));
   router.ip_layer().set_forwarding(true);
-  router.ip_layer().routes().Add(net::Ipv4Address(10, 0, 1, 0), 24, net::Ipv4Address::Any(), 0);
-  router.ip_layer().routes().Add(net::Ipv4Address(10, 0, 2, 0), 24, net::Ipv4Address::Any(),
-                                 t3_if);
-  server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 2, 0), 24);
   server.ip_layer().routes().AddDefault(net::Ipv4Address(10, 0, 2, 1));
 
   os::UdpSocket tx(client, 5000);

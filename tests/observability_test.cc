@@ -14,6 +14,7 @@
 #include "core/plexus.h"
 #include "drivers/medium.h"
 #include "net/mbuf.h"
+#include "net_harness.h"
 #include "proto/ip.h"
 #include "sim/host.h"
 #include "sim/metrics.h"
@@ -131,8 +132,6 @@ TEST(TraceId, SurvivesIpFragmentationAndReassembly) {
   // Sender fragments at a 600-byte MTU; receiver reassembles.
   proto::Ipv4Layer tx(host, {net::Ipv4Address(10, 0, 0, 1), 24, 600});
   proto::Ipv4Layer rx(host, {net::Ipv4Address(10, 0, 0, 2), 24, 1500});
-  tx.routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  rx.routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
 
   std::vector<net::MbufPtr> fragments;
   tx.SetTransmit([&](net::MbufPtr p, net::Ipv4Address, int) {
@@ -269,11 +268,6 @@ TEST(Tracer, DisabledTracingRecordsNothingAndChargesNothing) {
 
 // --- end-to-end: traced Plexus ping-pong -----------------------------------------
 
-core::PlexusHost::NetConfig Net(int id) {
-  return {net::MacAddress::FromId(static_cast<std::uint32_t>(id)),
-          net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(id)), 24};
-}
-
 struct PingArtifacts {
   std::string chrome_json;
   std::string metrics_a;
@@ -287,17 +281,10 @@ struct PingArtifacts {
 // A small Fig. 5-style UDP ping-pong with tracing on, returning every
 // exported artifact. Fresh simulator per call; same seeds every call.
 PingArtifacts RunTracedPing() {
-  sim::Simulator sim;
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
   sim.tracer().SetEnabled(true);
-  drivers::EthernetSegment segment(sim);
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  const auto costs = sim::CostModel::Default1996();
-  core::PlexusHost a(sim, "a", costs, profile, Net(1), core::HandlerMode::kInterrupt, 11);
-  core::PlexusHost b(sim, "b", costs, profile, Net(2), core::HandlerMode::kInterrupt, 22);
-  a.AttachTo(segment);
-  b.AttachTo(segment);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  auto &a = lan.AddPlexus(1, "a", 11), &b = lan.AddPlexus(2, "b", 22);
 
   auto client = a.udp().CreateEndpoint(5000).value();
   auto server = b.udp().CreateEndpoint(7).value();
@@ -448,17 +435,10 @@ struct TcpTraceArtifacts {
 // segment with nothing to say back (delayed-ACK timer fires), then an
 // orderly close (2MSL TIME_WAIT timer fires).
 TcpTraceArtifacts RunTracedTcpExchange() {
-  sim::Simulator sim;
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
   sim.tracer().SetEnabled(true);
-  drivers::EthernetSegment segment(sim);
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  const auto costs = sim::CostModel::Default1996();
-  core::PlexusHost a(sim, "a", costs, profile, Net(1));
-  core::PlexusHost b(sim, "b", costs, profile, Net(2));
-  a.AttachTo(segment);
-  b.AttachTo(segment);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  auto &a = lan.AddPlexus(1, "a"), &b = lan.AddPlexus(2, "b");
 
   std::vector<std::shared_ptr<core::PlexusTcpEndpoint>> accepted;
   b.tcp().Listen(80, [&](std::shared_ptr<core::PlexusTcpEndpoint> ep) {
@@ -513,11 +493,8 @@ TEST(Observability, TimerFiresCarryArmingTraceIdsInTimerCategory) {
 }
 
 TEST(Observability, DescribeGraphIncludesMetricsSnapshot) {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  core::PlexusHost h(sim, "h", sim::CostModel::Default1996(),
-                     drivers::DeviceProfile::Ethernet10(), Net(1));
-  h.AttachTo(segment);
+  harness::Lan lan;
+  auto& h = lan.AddPlexus(1, "h");
   const std::string graph = h.DescribeGraph();
   EXPECT_NE(graph.find("metrics: "), std::string::npos) << graph;
   EXPECT_NE(graph.find("\"spin.raises\""), std::string::npos) << graph;

@@ -10,6 +10,7 @@
 #include "core/plexus.h"
 #include "drivers/device_profile.h"
 #include "drivers/medium.h"
+#include "net_harness.h"
 #include "os/socket_host.h"
 #include "os/sockets.h"
 #include "proto/http.h"
@@ -18,34 +19,11 @@
 namespace os {
 namespace {
 
-using drivers::DeviceProfile;
-using drivers::EthernetSegment;
-
-struct TwoOsHosts {
-  explicit TwoOsHosts(DeviceProfile profile = DeviceProfile::Ethernet10())
-      : segment(sim),
-        alpha(sim, "du-alpha", sim::CostModel::Default1996(), profile,
-              {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24}, 11),
-        beta(sim, "du-beta", sim::CostModel::Default1996(), profile,
-             {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24}, 22) {
-    alpha.AttachTo(segment);
-    beta.AttachTo(segment);
-    alpha.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    beta.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  }
-
-  void RunFor(sim::Duration d) { sim.RunFor(d); }
-
-  sim::Simulator sim;
-  EthernetSegment segment;
-  SocketHost alpha;
-  SocketHost beta;
-};
-
 TEST(OsIntegration, UdpSocketSendReceive) {
-  TwoOsHosts net;
-  UdpSocket tx(net.alpha, 5000);
-  UdpSocket rx(net.beta, 6000);
+  harness::Lan net;
+  auto &alpha = net.AddOs(1, "du-alpha", 11), &beta = net.AddOs(2, "du-beta", 22);
+  UdpSocket tx(alpha, 5000);
+  UdpSocket rx(beta, 6000);
 
   std::string received;
   proto::UdpDatagram info_seen;
@@ -54,23 +32,26 @@ TEST(OsIntegration, UdpSocketSendReceive) {
     info_seen = info;
   });
   tx.SendTo("du datagram", net::Ipv4Address(10, 0, 0, 2), 6000);
-  net.RunFor(sim::Duration::Seconds(1));
+  net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(received, "du datagram");
   EXPECT_EQ(info_seen.src_port, 5000);
   EXPECT_EQ(info_seen.src_ip, net::Ipv4Address(10, 0, 0, 1));
 }
 
 TEST(OsIntegration, UdpPortExclusivity) {
-  TwoOsHosts net;
-  UdpSocket a(net.alpha, 5000);
-  EXPECT_THROW(UdpSocket(net.alpha, 5000), std::runtime_error);
+  harness::Lan net;
+  auto& alpha = net.AddOs(1, "du-alpha", 11);
+  net.AddOs(2, "du-beta", 22);
+  UdpSocket a(alpha, 5000);
+  EXPECT_THROW(UdpSocket(alpha, 5000), std::runtime_error);
 }
 
 TEST(OsIntegration, TcpSocketEndToEnd) {
-  TwoOsHosts net;
+  harness::Lan net;
+  auto &alpha = net.AddOs(1, "du-alpha", 11), &beta = net.AddOs(2, "du-beta", 22);
   std::string server_got, client_got;
   std::shared_ptr<TcpSocket> server_sock;
-  TcpListener listener(net.beta, 80, [&](std::shared_ptr<TcpSocket> s) {
+  TcpListener listener(beta, 80, [&](std::shared_ptr<TcpSocket> s) {
     server_sock = s;
     s->SetOnData([&, s](std::span<const std::byte> d) {
       server_got.append(reinterpret_cast<const char*>(d.data()), d.size());
@@ -79,20 +60,21 @@ TEST(OsIntegration, TcpSocketEndToEnd) {
     });
   });
 
-  auto client = TcpSocket::Connect(net.alpha, net::Ipv4Address(10, 0, 0, 2), 80);
+  auto client = TcpSocket::Connect(alpha, net::Ipv4Address(10, 0, 0, 2), 80);
   client->SetOnData([&](std::span<const std::byte> d) {
     client_got.append(reinterpret_cast<const char*>(d.data()), d.size());
   });
   client->SetOnEstablished([&] { client->WriteString("request"); });
-  net.RunFor(sim::Duration::Seconds(5));
+  net.sim.RunFor(sim::Duration::Seconds(5));
   EXPECT_EQ(server_got, "request");
   EXPECT_EQ(client_got, "ack!");
 }
 
 TEST(OsIntegration, HttpOverSockets) {
-  TwoOsHosts net;
+  harness::Lan net;
+  auto &alpha = net.AddOs(1, "du-alpha", 11), &beta = net.AddOs(2, "du-beta", 22);
   std::vector<std::unique_ptr<proto::HttpServerConnection>> conns;
-  TcpListener listener(net.beta, 80, [&](std::shared_ptr<TcpSocket> s) {
+  TcpListener listener(beta, 80, [&](std::shared_ptr<TcpSocket> s) {
     conns.push_back(std::make_unique<proto::HttpServerConnection>(
         *s, [](const std::string& path) -> std::optional<std::string> {
           if (path == "/data") return std::string(2000, 'x');
@@ -100,20 +82,21 @@ TEST(OsIntegration, HttpOverSockets) {
         }));
   });
 
-  auto client = TcpSocket::Connect(net.alpha, net::Ipv4Address(10, 0, 0, 2), 80);
+  auto client = TcpSocket::Connect(alpha, net::Ipv4Address(10, 0, 0, 2), 80);
   proto::HttpClient::Response response;
   proto::HttpClient http(*client, [&](const proto::HttpClient::Response& r) { response = r; });
   client->SetOnEstablished([&] { http.Get("/data"); });
-  net.RunFor(sim::Duration::Seconds(10));
+  net.sim.RunFor(sim::Duration::Seconds(10));
   EXPECT_EQ(response.status, 200);
   EXPECT_EQ(response.body.size(), 2000u);
 }
 
 TEST(OsIntegration, TcpSurvivesLossySegment) {
-  TwoOsHosts net;
+  harness::Lan net;
+  auto &alpha = net.AddOs(1, "du-alpha", 11), &beta = net.AddOs(2, "du-beta", 22);
   drivers::Faults faults;
   faults.drop_probability = 0.05;
-  net.segment.set_faults(faults);
+  net.medium().set_faults(faults);
 
   std::vector<std::byte> payload(60 * 1024);
   for (std::size_t i = 0; i < payload.size(); ++i) {
@@ -121,24 +104,25 @@ TEST(OsIntegration, TcpSurvivesLossySegment) {
   }
   std::vector<std::byte> received;
   std::shared_ptr<TcpSocket> server_keep;
-  TcpListener listener(net.beta, 9000, [&](std::shared_ptr<TcpSocket> s) {
+  TcpListener listener(beta, 9000, [&](std::shared_ptr<TcpSocket> s) {
     server_keep = s;
     s->SetOnData([&](std::span<const std::byte> d) {
       received.insert(received.end(), d.begin(), d.end());
     });
   });
-  auto client = TcpSocket::Connect(net.alpha, net::Ipv4Address(10, 0, 0, 2), 9000);
+  auto client = TcpSocket::Connect(alpha, net::Ipv4Address(10, 0, 0, 2), 9000);
   client->SetOnEstablished([&] { client->Write(payload); });
-  net.RunFor(sim::Duration::Seconds(300));
+  net.sim.RunFor(sim::Duration::Seconds(300));
   ASSERT_EQ(received.size(), payload.size());
   EXPECT_EQ(received, payload);
 }
 
 // Shared latency measurement for the cross-system comparison below.
 double OsUdpRttUs(int pings = 8) {
-  TwoOsHosts net;
-  UdpSocket client(net.alpha, 5000);
-  UdpSocket server(net.beta, 7);
+  harness::Lan net;
+  auto &alpha = net.AddOs(1, "du-alpha", 11), &beta = net.AddOs(2, "du-beta", 22);
+  UdpSocket client(alpha, 5000);
+  UdpSocket server(beta, 7);
   server.SetOnDatagram([&](std::vector<std::byte> data, const proto::UdpDatagram& info) {
     server.SendTo(std::span<const std::byte>(data), info.src_ip, info.src_port);
   });
@@ -146,7 +130,7 @@ double OsUdpRttUs(int pings = 8) {
   std::vector<double> rtts;
   sim::TimePoint sent_at;
   std::function<void()> send_ping = [&] {
-    net.alpha.RunUser([&] {
+    alpha.RunUser([&] {
       sent_at = net.sim.Now();
       client.SendTo("12345678", net::Ipv4Address(10, 0, 0, 2), 7);
     });
@@ -157,7 +141,7 @@ double OsUdpRttUs(int pings = 8) {
     if (++completed < pings + 1) send_ping();
   });
   send_ping();
-  net.RunFor(sim::Duration::Seconds(10));
+  net.sim.RunFor(sim::Duration::Seconds(10));
   EXPECT_EQ(static_cast<int>(rtts.size()), pings);
   double sum = 0;
   for (double r : rtts) sum += r;
@@ -178,16 +162,8 @@ TEST(OsIntegration, BoundaryCostsMakeOsSlowerThanPlexus) {
   const double os_rtt = OsUdpRttUs();
 
   // Plexus equivalent, interrupt mode.
-  sim::Simulator sim;
-  EthernetSegment segment(sim);
-  core::PlexusHost a(sim, "a", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-                     {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  core::PlexusHost b(sim, "b", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-                     {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  a.AttachTo(segment);
-  b.AttachTo(segment);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  harness::Lan lan;
+  auto &a = lan.AddPlexus(1, "a"), &b = lan.AddPlexus(2, "b");
   auto client = a.udp().CreateEndpoint(5000).value();
   auto server = b.udp().CreateEndpoint(7).value();
   spin::HandlerOptions opts;
@@ -202,46 +178,49 @@ TEST(OsIntegration, BoundaryCostsMakeOsSlowerThanPlexus) {
   sim::TimePoint sent_at;
   std::function<void()> send_ping = [&] {
     a.Run([&] {
-      sent_at = sim.Now();
+      sent_at = lan.sim.Now();
       client->Send(net::Mbuf::FromString("12345678"), net::Ipv4Address(10, 0, 0, 2), 7);
     });
   };
   client->InstallReceiveHandler(
       [&](const net::Mbuf&, const proto::UdpDatagram&) {
-        if (count > 0) plexus_rtt += (sim.Now() - sent_at).us();  // skip ARP warmup
+        if (count > 0) plexus_rtt += (lan.sim.Now() - sent_at).us();  // skip ARP warmup
         if (++count < 9) send_ping();
       },
       opts);
   send_ping();
-  sim.RunFor(sim::Duration::Seconds(10));
+  lan.sim.RunFor(sim::Duration::Seconds(10));
   plexus_rtt /= (count - 1);
 
   EXPECT_GT(os_rtt, plexus_rtt * 1.4) << "plexus=" << plexus_rtt << "us os=" << os_rtt << "us";
 }
 
 TEST(OsIntegration, IcmpPingWorksOnBaseline) {
-  TwoOsHosts net;
+  harness::Lan net;
+  auto& alpha = net.AddOs(1, "du-alpha", 11);
+  net.AddOs(2, "du-beta", 22);
   int replies = 0;
-  net.alpha.icmp().SetEchoReplyCallback(
+  alpha.icmp().SetEchoReplyCallback(
       [&](net::Ipv4Address, std::uint16_t, std::uint16_t) { ++replies; });
-  net.alpha.host().Submit(sim::Priority::kKernel, [&] {
-    net.alpha.icmp().SendEchoRequest(net::Ipv4Address(10, 0, 0, 2), 3, 1, 16);
+  alpha.host().Submit(sim::Priority::kKernel, [&] {
+    alpha.icmp().SendEchoRequest(net::Ipv4Address(10, 0, 0, 2), 3, 1, 16);
   });
-  net.RunFor(sim::Duration::Seconds(1));
+  net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(replies, 1);
 }
 
 TEST(OsIntegration, ChecksumOffIsFasterOnWire) {
   // The motivation example: disabling the UDP checksum saves per-byte CPU.
-  TwoOsHosts net;
-  UdpSocket tx(net.alpha, 5000);
+  harness::Lan net;
+  auto &alpha = net.AddOs(1, "du-alpha", 11), &beta = net.AddOs(2, "du-beta", 22);
+  UdpSocket tx(alpha, 5000);
   tx.set_checksum_enabled(false);
-  UdpSocket rx(net.beta, 6000);
+  UdpSocket rx(beta, 6000);
   int got = 0;
   rx.SetOnDatagram([&](std::vector<std::byte>, const proto::UdpDatagram&) { ++got; });
   std::vector<std::byte> frame(1400);
   tx.SendTo(frame, net::Ipv4Address(10, 0, 0, 2), 6000);
-  net.RunFor(sim::Duration::Seconds(1));
+  net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(got, 1);
 }
 
@@ -258,28 +237,29 @@ std::uint64_t OsCounter(SocketHost& h, const std::string& name) {
 // Runs in steps shorter than the scheduler wakeup delay until `counter` on
 // `h` moves past `from`, so the test can act between a wakeup being queued
 // and it running.
-void RunUntilCounterMoves(TwoOsHosts& net, SocketHost& h, const std::string& counter,
+void RunUntilCounterMoves(harness::Lan& net, SocketHost& h, const std::string& counter,
                           std::uint64_t from) {
   for (int i = 0; i < 200000 && OsCounter(h, counter) == from; ++i) {
-    net.RunFor(sim::Duration::Micros(5));
+    net.sim.RunFor(sim::Duration::Micros(5));
   }
   ASSERT_GT(OsCounter(h, counter), from);
 }
 
 TEST(OsIntegration, DroppedTcpSocketCompletesItsQueuedWriteAndClose) {
-  TwoOsHosts net;
+  harness::Lan net;
+  auto &alpha = net.AddOs(1, "du-alpha", 11), &beta = net.AddOs(2, "du-beta", 22);
   std::string server_got;
   int server_eofs = 0;
   std::shared_ptr<TcpSocket> server_sock;
-  TcpListener listener(net.beta, 80, [&](std::shared_ptr<TcpSocket> s) {
+  TcpListener listener(beta, 80, [&](std::shared_ptr<TcpSocket> s) {
     server_sock = s;
     s->SetOnData([&](std::span<const std::byte> d) {
       server_got.append(reinterpret_cast<const char*>(d.data()), d.size());
     });
     s->SetOnClose([&] { ++server_eofs; });
   });
-  auto client = TcpSocket::Connect(net.alpha, net::Ipv4Address(10, 0, 0, 2), 80);
-  net.RunFor(sim::Duration::Seconds(1));
+  auto client = TcpSocket::Connect(alpha, net::Ipv4Address(10, 0, 0, 2), 80);
+  net.sim.RunFor(sim::Duration::Seconds(1));
   ASSERT_EQ(client->connection().state(), proto::TcpConnection::State::kEstablished);
 
   // write(2) and close(2) are both still queued behind the trap when the
@@ -287,55 +267,58 @@ TEST(OsIntegration, DroppedTcpSocketCompletesItsQueuedWriteAndClose) {
   client->WriteString("hello");
   client->CloseStream();
   client.reset();
-  net.RunFor(sim::Duration::Seconds(2));
+  net.sim.RunFor(sim::Duration::Seconds(2));
   EXPECT_EQ(server_got, "hello");
   EXPECT_EQ(server_eofs, 1);
 }
 
 TEST(OsIntegration, DroppedUdpSocketStillSendsQueuedDatagrams) {
-  TwoOsHosts net;
-  UdpSocket rx(net.beta, 6000);
+  harness::Lan net;
+  auto &alpha = net.AddOs(1, "du-alpha", 11), &beta = net.AddOs(2, "du-beta", 22);
+  UdpSocket rx(beta, 6000);
   std::vector<std::string> got;
   rx.SetOnDatagram([&](std::vector<std::byte> data, const proto::UdpDatagram&) {
     got.emplace_back(reinterpret_cast<const char*>(data.data()), data.size());
   });
-  auto tx = std::make_unique<UdpSocket>(net.alpha, 5000);
+  auto tx = std::make_unique<UdpSocket>(alpha, 5000);
   tx->SendTo("first", net::Ipv4Address(10, 0, 0, 2), 6000);
   tx->SendTo("second", net::Ipv4Address(10, 0, 0, 2), 6000);
   tx.reset();
-  net.RunFor(sim::Duration::Seconds(1));
+  net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(got, (std::vector<std::string>{"first", "second"}));
 }
 
 TEST(OsIntegration, DroppedUdpSocketWakeupIsChargedButDeliversNothing) {
-  TwoOsHosts net;
-  auto rx = std::make_unique<UdpSocket>(net.beta, 6000);
+  harness::Lan net;
+  auto &alpha = net.AddOs(1, "du-alpha", 11), &beta = net.AddOs(2, "du-beta", 22);
+  auto rx = std::make_unique<UdpSocket>(beta, 6000);
   int delivered = 0;
   rx->SetOnDatagram([&](std::vector<std::byte>, const proto::UdpDatagram&) { ++delivered; });
-  UdpSocket tx(net.alpha, 5000);
+  UdpSocket tx(alpha, 5000);
   tx.SendTo("orphan", net::Ipv4Address(10, 0, 0, 2), 6000);
-  RunUntilCounterMoves(net, net.beta, "os.sched_wakeups", 0);
-  ASSERT_EQ(OsCounter(net.beta, "os.context_switches"), 0u);
+  RunUntilCounterMoves(net, beta, "os.sched_wakeups", 0);
+  ASSERT_EQ(OsCounter(beta, "os.context_switches"), 0u);
 
   rx.reset();  // the wakeup is queued but has not run
-  net.RunFor(sim::Duration::Seconds(1));
+  net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(OsCounter(net.beta, "os.context_switches"), 1u);
-  EXPECT_EQ(OsCounter(net.beta, "os.copyout_bytes"), 6u);
+  EXPECT_EQ(OsCounter(beta, "os.context_switches"), 1u);
+  EXPECT_EQ(OsCounter(beta, "os.copyout_bytes"), 6u);
 }
 
 TEST(OsIntegration, DroppedListenerAcceptWakeupDeliversNothing) {
-  TwoOsHosts net;
+  harness::Lan net;
+  auto &alpha = net.AddOs(1, "du-alpha", 11), &beta = net.AddOs(2, "du-beta", 22);
   int accepted = 0;
   auto listener = std::make_unique<TcpListener>(
-      net.beta, 80, [&](std::shared_ptr<TcpSocket>) { ++accepted; });
-  auto client = TcpSocket::Connect(net.alpha, net::Ipv4Address(10, 0, 0, 2), 80);
-  RunUntilCounterMoves(net, net.beta, "os.sched_wakeups", 0);
+      beta, 80, [&](std::shared_ptr<TcpSocket>) { ++accepted; });
+  auto client = TcpSocket::Connect(alpha, net::Ipv4Address(10, 0, 0, 2), 80);
+  RunUntilCounterMoves(net, beta, "os.sched_wakeups", 0);
 
   listener.reset();  // accept(2)'s wakeup is queued but has not run
-  net.RunFor(sim::Duration::Seconds(1));
+  net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(accepted, 0);
-  EXPECT_EQ(OsCounter(net.beta, "os.context_switches"), 1u);
+  EXPECT_EQ(OsCounter(beta, "os.context_switches"), 1u);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "net/checksum.h"
 #include "net/headers.h"
 #include "net/mbuf_pool.h"
+#include "net_harness.h"
 #include "sim/host.h"
 #include "sim/simulator.h"
 #include "spin/deferred.h"
@@ -285,25 +286,14 @@ std::shared_ptr<net::Mbuf> CraftUdpFrame(net::MacAddress dst_mac, net::Ipv4Addre
   return std::shared_ptr<net::Mbuf>(m.release());
 }
 
-struct StackFixture {
-  explicit StackFixture(core::HandlerMode mode)
-      : segment(sim),
-        host(sim, "b", sim::CostModel::Default1996(), drivers::DeviceProfile::Ethernet10(),
-             {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24}, mode, 1) {
-    host.AttachTo(segment);
-  }
-  sim::Simulator sim;
-  drivers::EthernetSegment segment;
-  core::PlexusHost host;
-};
-
 TEST(Overload, ThreadModeShedsBurstsAtTheDeferredQueue) {
   // This test pins down the *per-packet* shed ladder (one hop per frame
   // walking the hysteresis window); the batched path is covered below.
   ScopedBatchMode per_packet(false);
-  StackFixture f(core::HandlerMode::kThread);
-  f.host.deferred_queue().set_config({/*high=*/8, /*low=*/4});
-  auto rx = f.host.udp().CreateEndpoint(7).value();
+  harness::Lan f;
+  auto& host = f.AddPlexus(2, "b", 1, core::HandlerMode::kThread);
+  host.deferred_queue().set_config({/*high=*/8, /*low=*/4});
+  auto rx = host.udp().CreateEndpoint(7).value();
   int delivered = 0;
   rx->InstallReceiveHandler(
       [&](const net::Mbuf&, const proto::UdpDatagram&) { ++delivered; }, {});
@@ -313,17 +303,17 @@ TEST(Overload, ThreadModeShedsBurstsAtTheDeferredQueue) {
     // service the ring before any spawned handler thread gets the CPU, so
     // the deferred queue must absorb the burst — and cap it.
     for (int i = 0; i < 50; ++i) {
-      f.host.nic().DeliverFromWire(net::MbufPtr(frame->ShareClone()),
+      host.nic().DeliverFromWire(net::MbufPtr(frame->ShareClone()),
                                    /*check_address=*/true);
     }
   });
   f.sim.RunFor(sim::Duration::Seconds(2));
-  const auto shed = f.host.host().metrics().counter("spin.deferred_shed").value();
+  const auto shed = host.host().metrics().counter("spin.deferred_shed").value();
   EXPECT_EQ(shed, 42u);  // first 8 admitted, the rest refused newest-first
   EXPECT_EQ(delivered, 8);
-  EXPECT_EQ(f.host.deferred_queue().depth(), 0u);
-  EXPECT_EQ(f.host.dispatcher().stats().quarantines, 0u);
-  EXPECT_EQ(f.host.mbuf_pool().in_use(), 0u);  // shed frames were released
+  EXPECT_EQ(host.deferred_queue().depth(), 0u);
+  EXPECT_EQ(host.dispatcher().stats().quarantines, 0u);
+  EXPECT_EQ(host.mbuf_pool().in_use(), 0u);  // shed frames were released
 }
 
 TEST(Overload, BatchedBurstIsShedAsOneUnitAndLeaksNothing) {
@@ -332,31 +322,33 @@ TEST(Overload, BatchedBurstIsShedAsOneUnitAndLeaksNothing) {
   // pending bursts, not just in-flight mbufs) and the shed counter still
   // advances per frame.
   ScopedBatchMode batched(true);
-  StackFixture f(core::HandlerMode::kThread);
+  harness::Lan f;
+  auto& host = f.AddPlexus(2, "b", 1, core::HandlerMode::kThread);
   // high = 0: the queue sheds from the first admission attempt on.
-  f.host.deferred_queue().set_config({/*high=*/0, /*low=*/0});
-  auto rx = f.host.udp().CreateEndpoint(7).value();
+  host.deferred_queue().set_config({/*high=*/0, /*low=*/0});
+  auto rx = host.udp().CreateEndpoint(7).value();
   int delivered = 0;
   rx->InstallReceiveHandler(
       [&](const net::Mbuf&, const proto::UdpDatagram&) { ++delivered; }, {});
   auto frame = CraftUdpFrame(net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 7);
   f.sim.Schedule(sim::Duration::Millis(1), [&] {
     for (int i = 0; i < 50; ++i) {
-      f.host.nic().DeliverFromWire(net::MbufPtr(frame->ShareClone()),
+      host.nic().DeliverFromWire(net::MbufPtr(frame->ShareClone()),
                                    /*check_address=*/true);
     }
   });
   f.sim.RunFor(sim::Duration::Seconds(2));
   EXPECT_EQ(delivered, 0);
-  EXPECT_GE(f.host.host().metrics().counter("spin.deferred_shed").value(), 50u);
-  EXPECT_EQ(f.host.deferred_queue().depth(), 0u);
-  EXPECT_EQ(f.host.mbuf_pool().in_use(), 0u);  // parked burst was released
+  EXPECT_GE(host.host().metrics().counter("spin.deferred_shed").value(), 50u);
+  EXPECT_EQ(host.deferred_queue().depth(), 0u);
+  EXPECT_EQ(host.mbuf_pool().in_use(), 0u);  // parked burst was released
 }
 
 TEST(Overload, TinyPoolBurstDropsCleanlyAndLeaksNothing) {
-  StackFixture f(core::HandlerMode::kInterrupt);
-  f.host.SetMbufPoolCapacity(8);
-  auto rx = f.host.udp().CreateEndpoint(7).value();
+  harness::Lan f;
+  auto& host = f.AddPlexus(2, "b", 1, core::HandlerMode::kInterrupt);
+  host.SetMbufPoolCapacity(8);
+  auto rx = host.udp().CreateEndpoint(7).value();
   int delivered = 0;
   spin::HandlerOptions opts;
   opts.ephemeral = true;
@@ -365,7 +357,7 @@ TEST(Overload, TinyPoolBurstDropsCleanlyAndLeaksNothing) {
   auto frame = CraftUdpFrame(net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 7);
   f.sim.Schedule(sim::Duration::Millis(1), [&] {
     for (int i = 0; i < 100; ++i) {
-      f.host.nic().DeliverFromWire(net::MbufPtr(frame->ShareClone()),
+      host.nic().DeliverFromWire(net::MbufPtr(frame->ShareClone()),
                                    /*check_address=*/true);
     }
   });
@@ -374,14 +366,14 @@ TEST(Overload, TinyPoolBurstDropsCleanlyAndLeaksNothing) {
   // instant; then 8 pooled rx buffers absorb the burst and the remaining 91
   // frames are refused at the wire — not crashed on and not leaked.
   EXPECT_EQ(delivered, 9);
-  const auto st = f.host.nic().stats();
+  const auto st = host.nic().stats();
   EXPECT_EQ(st.rx_pool_drops, 91u);
-  EXPECT_EQ(f.host.mbuf_pool().exhaustions(), 91u);
-  EXPECT_EQ(f.host.mbuf_pool().in_use(), 0u);
-  EXPECT_EQ(f.host.mbuf_pool().peak_in_use(), 8u);
-  EXPECT_EQ(f.host.host().metrics().counter("mbuf.pool_exhausted").value(), 91u);
-  EXPECT_EQ(f.host.host().metrics().gauge("mbuf.pool_in_use").value(), 0);
-  EXPECT_EQ(f.host.dispatcher().stats().quarantines, 0u);
+  EXPECT_EQ(host.mbuf_pool().exhaustions(), 91u);
+  EXPECT_EQ(host.mbuf_pool().in_use(), 0u);
+  EXPECT_EQ(host.mbuf_pool().peak_in_use(), 8u);
+  EXPECT_EQ(host.host().metrics().counter("mbuf.pool_exhausted").value(), 91u);
+  EXPECT_EQ(host.host().metrics().gauge("mbuf.pool_in_use").value(), 0);
+  EXPECT_EQ(host.dispatcher().stats().quarantines, 0u);
 }
 
 }  // namespace

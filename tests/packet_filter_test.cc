@@ -9,6 +9,7 @@
 #include "core/plexus.h"
 #include "drivers/medium.h"
 #include "net/headers.h"
+#include "net_harness.h"
 
 namespace core::filter {
 namespace {
@@ -139,12 +140,8 @@ TEST(PacketFilter, EvalOnMbufChainAcrossSegments) {
 }
 
 TEST(PacketFilter, ManagerAcceptsSpecificFilterRejectsMatchAll) {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  PlexusHost host(sim, "h", sim::CostModel::Default1996(),
-                  drivers::DeviceProfile::Ethernet10(),
-                  {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  host.AttachTo(segment);
+  harness::Lan lan;
+  auto& host = lan.AddPlexus(1, "h");
 
   spin::HandlerOptions opts;
   opts.ephemeral = true;
@@ -159,16 +156,8 @@ TEST(PacketFilter, ManagerAcceptsSpecificFilterRejectsMatchAll) {
 }
 
 TEST(PacketFilter, FilteredHandlerReceivesOnlyMatchingFrames) {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  PlexusHost a(sim, "a", sim::CostModel::Default1996(), drivers::DeviceProfile::Ethernet10(),
-               {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  PlexusHost b(sim, "b", sim::CostModel::Default1996(), drivers::DeviceProfile::Ethernet10(),
-               {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  a.AttachTo(segment);
-  b.AttachTo(segment);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  harness::Lan lan;
+  auto &a = lan.AddPlexus(1, "a"), &b = lan.AddPlexus(2, "b");
 
   // A declarative observer for UDP port 7 traffic on b (e.g. an in-kernel
   // traffic monitor extension).
@@ -186,7 +175,7 @@ TEST(PacketFilter, FilteredHandlerReceivesOnlyMatchingFrames) {
     tx->Send(net::Mbuf::FromString("to 8"), net::Ipv4Address(10, 0, 0, 2), 8);
     tx->Send(net::Mbuf::FromString("to 7 again"), net::Ipv4Address(10, 0, 0, 2), 7);
   });
-  sim.RunFor(sim::Duration::Seconds(1));
+  lan.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(matched, 2);
 }
 

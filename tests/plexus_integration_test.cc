@@ -11,6 +11,7 @@
 #include "core/plexus.h"
 #include "drivers/device_profile.h"
 #include "drivers/medium.h"
+#include "net_harness.h"
 #include "proto/http.h"
 #include "sim/simulator.h"
 
@@ -18,76 +19,58 @@ namespace core {
 namespace {
 
 using drivers::DeviceProfile;
-using drivers::EthernetSegment;
-using drivers::PointToPointLink;
-
-struct TwoPlexusHosts {
-  explicit TwoPlexusHosts(HandlerMode mode = HandlerMode::kInterrupt,
-                          DeviceProfile profile = DeviceProfile::Ethernet10())
-      : segment(sim),
-        alpha(sim, "alpha", sim::CostModel::Default1996(), profile,
-              {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24}, mode, 111),
-        beta(sim, "beta", sim::CostModel::Default1996(), profile,
-             {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24}, mode, 222) {
-    alpha.AttachTo(segment);
-    beta.AttachTo(segment);
-    alpha.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    beta.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  }
-
-  void RunFor(sim::Duration d) { sim.RunFor(d); }
-
-  sim::Simulator sim;
-  EthernetSegment segment;
-  PlexusHost alpha;
-  PlexusHost beta;
-};
 
 TEST(PlexusIntegration, ArpResolvesPeerAddress) {
-  TwoPlexusHosts net;
+  harness::Lan net;
+  auto &alpha = net.AddPlexus(1, "alpha", 111), &beta = net.AddPlexus(2, "beta", 222);
   std::optional<net::MacAddress> resolved;
-  net.alpha.Run([&] {
-    net.alpha.arp().Resolve(net::Ipv4Address(10, 0, 0, 2),
+  alpha.Run([&] {
+    alpha.arp().Resolve(net::Ipv4Address(10, 0, 0, 2),
                             [&](std::optional<net::MacAddress> mac) { resolved = mac; });
   });
-  net.RunFor(sim::Duration::Millis(100));
+  net.sim.RunFor(sim::Duration::Millis(100));
   ASSERT_TRUE(resolved.has_value());
   EXPECT_EQ(*resolved, net::MacAddress::FromId(2));
-  EXPECT_GE(net.alpha.arp().stats().requests_sent, 1u);
-  EXPECT_GE(net.beta.arp().stats().replies_sent, 1u);
+  EXPECT_GE(alpha.arp().stats().requests_sent, 1u);
+  EXPECT_GE(beta.arp().stats().replies_sent, 1u);
 }
 
 TEST(PlexusIntegration, ArpFailsForAbsentHost) {
-  TwoPlexusHosts net;
+  harness::Lan net;
+  auto& alpha = net.AddPlexus(1, "alpha", 111);
+  net.AddPlexus(2, "beta", 222);
   bool failed = false;
-  net.alpha.Run([&] {
-    net.alpha.arp().Resolve(net::Ipv4Address(10, 0, 0, 99),
+  alpha.Run([&] {
+    alpha.arp().Resolve(net::Ipv4Address(10, 0, 0, 99),
                             [&](std::optional<net::MacAddress> mac) { failed = !mac; });
   });
-  net.RunFor(sim::Duration::Seconds(10));
+  net.sim.RunFor(sim::Duration::Seconds(10));
   EXPECT_TRUE(failed);
-  EXPECT_GE(net.alpha.arp().stats().resolution_failures, 1u);
+  EXPECT_GE(alpha.arp().stats().resolution_failures, 1u);
 }
 
 TEST(PlexusIntegration, IcmpPingRoundTrip) {
-  TwoPlexusHosts net;
+  harness::Lan net;
+  auto& alpha = net.AddPlexus(1, "alpha", 111);
+  net.AddPlexus(2, "beta", 222);
   int replies = 0;
-  net.alpha.icmp().SetEchoReplyCallback(
+  alpha.icmp().SetEchoReplyCallback(
       [&](net::Ipv4Address from, std::uint16_t, std::uint16_t) {
         EXPECT_EQ(from, net::Ipv4Address(10, 0, 0, 2));
         ++replies;
       });
-  net.alpha.Run([&] {
-    net.alpha.icmp().SendEchoRequest(net::Ipv4Address(10, 0, 0, 2), 7, 1, 32);
+  alpha.Run([&] {
+    alpha.icmp().SendEchoRequest(net::Ipv4Address(10, 0, 0, 2), 7, 1, 32);
   });
-  net.RunFor(sim::Duration::Seconds(1));
+  net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(replies, 1);
 }
 
 TEST(PlexusIntegration, UdpDatagramDelivery) {
-  TwoPlexusHosts net;
-  auto tx = net.alpha.udp().CreateEndpoint(5000);
-  auto rx = net.beta.udp().CreateEndpoint(6000);
+  harness::Lan net;
+  auto &alpha = net.AddPlexus(1, "alpha", 111), &beta = net.AddPlexus(2, "beta", 222);
+  auto tx = alpha.udp().CreateEndpoint(5000);
+  auto rx = beta.udp().CreateEndpoint(6000);
   ASSERT_TRUE(tx.ok());
   ASSERT_TRUE(rx.ok());
 
@@ -105,18 +88,19 @@ TEST(PlexusIntegration, UdpDatagramDelivery) {
                       opts)
                   .ok());
 
-  net.alpha.Run([&] {
+  alpha.Run([&] {
     tx.value()->Send(net::Mbuf::FromString("plexus datagram"), net::Ipv4Address(10, 0, 0, 2),
                      6000);
   });
-  net.RunFor(sim::Duration::Seconds(1));
+  net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(received, "plexus datagram");
 }
 
 TEST(PlexusIntegration, UdpChecksumDisabledStillDelivers) {
-  TwoPlexusHosts net;
-  auto tx = net.alpha.udp().CreateEndpoint(5000);
-  auto rx = net.beta.udp().CreateEndpoint(6000);
+  harness::Lan net;
+  auto &alpha = net.AddPlexus(1, "alpha", 111), &beta = net.AddPlexus(2, "beta", 222);
+  auto tx = alpha.udp().CreateEndpoint(5000);
+  auto rx = beta.udp().CreateEndpoint(6000);
   tx.value()->set_checksum_enabled(false);  // the paper's AV optimization
 
   int got = 0;
@@ -126,30 +110,33 @@ TEST(PlexusIntegration, UdpChecksumDisabledStillDelivers) {
                   ->InstallReceiveHandler(
                       [&](const net::Mbuf&, const proto::UdpDatagram&) { ++got; }, opts)
                   .ok());
-  net.alpha.Run([&] {
+  alpha.Run([&] {
     tx.value()->Send(net::Mbuf::FromString("no checksum"), net::Ipv4Address(10, 0, 0, 2), 6000);
   });
-  net.RunFor(sim::Duration::Seconds(1));
+  net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(got, 1);
 }
 
 TEST(PlexusIntegration, PortClaimingIsExclusive) {
-  TwoPlexusHosts net;
-  auto first = net.alpha.udp().CreateEndpoint(7777);
+  harness::Lan net;
+  auto& alpha = net.AddPlexus(1, "alpha", 111);
+  net.AddPlexus(2, "beta", 222);
+  auto first = alpha.udp().CreateEndpoint(7777);
   ASSERT_TRUE(first.ok());
-  auto second = net.alpha.udp().CreateEndpoint(7777);
+  auto second = alpha.udp().CreateEndpoint(7777);
   EXPECT_FALSE(second.ok());
   first.value().reset();  // release
-  EXPECT_TRUE(net.alpha.udp().CreateEndpoint(7777).ok());
+  EXPECT_TRUE(alpha.udp().CreateEndpoint(7777).ok());
 }
 
 TEST(PlexusIntegration, SnoopPreventionPortGuard) {
   // An endpoint's handler must never see datagrams for other ports, even
   // though both handlers hang off the same Udp.PacketRecv event.
-  TwoPlexusHosts net;
-  auto tx = net.alpha.udp().CreateEndpoint(5000);
-  auto victim = net.beta.udp().CreateEndpoint(6000);
-  auto snooper = net.beta.udp().CreateEndpoint(6001);
+  harness::Lan net;
+  auto &alpha = net.AddPlexus(1, "alpha", 111), &beta = net.AddPlexus(2, "beta", 222);
+  auto tx = alpha.udp().CreateEndpoint(5000);
+  auto victim = beta.udp().CreateEndpoint(6000);
+  auto snooper = beta.udp().CreateEndpoint(6001);
 
   int victim_got = 0, snooper_got = 0;
   spin::HandlerOptions opts;
@@ -160,11 +147,11 @@ TEST(PlexusIntegration, SnoopPreventionPortGuard) {
       [&](const net::Mbuf&, const proto::UdpDatagram&) { ++snooper_got; }, opts);
 
   for (int i = 0; i < 3; ++i) {
-    net.alpha.Run([&] {
+    alpha.Run([&] {
       tx.value()->Send(net::Mbuf::FromString("secret"), net::Ipv4Address(10, 0, 0, 2), 6000);
     });
   }
-  net.RunFor(sim::Duration::Seconds(1));
+  net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(victim_got, 3);
   EXPECT_EQ(snooper_got, 0);
 }
@@ -172,9 +159,10 @@ TEST(PlexusIntegration, SnoopPreventionPortGuard) {
 TEST(PlexusIntegration, SpoofPreventionSourceOverwritten) {
   // Whatever the application does, the datagram leaves with the endpoint's
   // true source ip/port: the receive side checks.
-  TwoPlexusHosts net;
-  auto tx = net.alpha.udp().CreateEndpoint(5000);
-  auto rx = net.beta.udp().CreateEndpoint(6000);
+  harness::Lan net;
+  auto &alpha = net.AddPlexus(1, "alpha", 111), &beta = net.AddPlexus(2, "beta", 222);
+  auto tx = alpha.udp().CreateEndpoint(5000);
+  auto rx = beta.udp().CreateEndpoint(6000);
 
   proto::UdpDatagram seen;
   spin::HandlerOptions opts;
@@ -182,17 +170,19 @@ TEST(PlexusIntegration, SpoofPreventionSourceOverwritten) {
   rx.value()->InstallReceiveHandler(
       [&](const net::Mbuf&, const proto::UdpDatagram& info) { seen = info; }, opts);
 
-  net.alpha.Run([&] {
+  alpha.Run([&] {
     tx.value()->Send(net::Mbuf::FromString("x"), net::Ipv4Address(10, 0, 0, 2), 6000);
   });
-  net.RunFor(sim::Duration::Seconds(1));
+  net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(seen.src_ip, net::Ipv4Address(10, 0, 0, 1));  // not spoofable
   EXPECT_EQ(seen.src_port, 5000);
 }
 
 TEST(PlexusIntegration, InterruptModeRequiresEphemeralHandler) {
-  TwoPlexusHosts net(HandlerMode::kInterrupt);
-  auto ep = net.beta.udp().CreateEndpoint(6000);
+  harness::Lan net;
+  net.AddPlexus(1, "alpha", 111, HandlerMode::kInterrupt);
+  auto& beta = net.AddPlexus(2, "beta", 222, HandlerMode::kInterrupt);
+  auto ep = beta.udp().CreateEndpoint(6000);
   // Not declared EPHEMERAL: the manager must reject it.
   auto r = ep.value()->InstallReceiveHandler([](const net::Mbuf&, const proto::UdpDatagram&) {});
   EXPECT_FALSE(r.ok());
@@ -200,17 +190,20 @@ TEST(PlexusIntegration, InterruptModeRequiresEphemeralHandler) {
 }
 
 TEST(PlexusIntegration, ThreadModeAcceptsPlainHandler) {
-  TwoPlexusHosts net(HandlerMode::kThread);
-  auto ep = net.beta.udp().CreateEndpoint(6000);
+  harness::Lan net;
+  net.AddPlexus(1, "alpha", 111, HandlerMode::kThread);
+  auto& beta = net.AddPlexus(2, "beta", 222, HandlerMode::kThread);
+  auto ep = beta.udp().CreateEndpoint(6000);
   auto r = ep.value()->InstallReceiveHandler([](const net::Mbuf&, const proto::UdpDatagram&) {});
   EXPECT_TRUE(r.ok());
 }
 
 // Measures application-to-application UDP round-trip time in a given mode.
 double UdpRttUs(HandlerMode mode, int pings = 8) {
-  TwoPlexusHosts net(mode);
-  auto client = net.alpha.udp().CreateEndpoint(5000).value();
-  auto server = net.beta.udp().CreateEndpoint(7).value();  // echo port 7
+  harness::Lan net;
+  auto &alpha = net.AddPlexus(1, "alpha", 111, mode), &beta = net.AddPlexus(2, "beta", 222, mode);
+  auto client = alpha.udp().CreateEndpoint(5000).value();
+  auto server = beta.udp().CreateEndpoint(7).value();  // echo port 7
 
   spin::HandlerOptions opts;
   opts.ephemeral = true;
@@ -224,7 +217,7 @@ double UdpRttUs(HandlerMode mode, int pings = 8) {
   std::vector<double> rtts;
   sim::TimePoint sent_at;
   std::function<void()> send_ping = [&] {
-    net.alpha.Run([&] {
+    alpha.Run([&] {
       sent_at = net.sim.Now();
       client->Send(net::Mbuf::FromString("12345678"), net::Ipv4Address(10, 0, 0, 2), 7);
     });
@@ -236,7 +229,7 @@ double UdpRttUs(HandlerMode mode, int pings = 8) {
       },
       opts);
   send_ping();
-  net.RunFor(sim::Duration::Seconds(10));
+  net.sim.RunFor(sim::Duration::Seconds(10));
   EXPECT_EQ(static_cast<int>(rtts.size()), pings);
   double sum = 0;
   for (double r : rtts) sum += r;
@@ -257,10 +250,11 @@ TEST(PlexusIntegration, ThreadModeSlowerThanInterruptMode) {
 }
 
 TEST(PlexusIntegration, TcpConnectTransferClose) {
-  TwoPlexusHosts net;
+  harness::Lan net;
+  auto &alpha = net.AddPlexus(1, "alpha", 111), &beta = net.AddPlexus(2, "beta", 222);
   std::string server_got, client_got;
   std::shared_ptr<PlexusTcpEndpoint> server_ep;
-  net.beta.tcp().Listen(80, [&](std::shared_ptr<PlexusTcpEndpoint> ep) {
+  beta.tcp().Listen(80, [&](std::shared_ptr<PlexusTcpEndpoint> ep) {
     server_ep = ep;
     ep->SetOnData([&, ep](std::span<const std::byte> d) {
       server_got.append(reinterpret_cast<const char*>(d.data()), d.size());
@@ -270,48 +264,50 @@ TEST(PlexusIntegration, TcpConnectTransferClose) {
   });
 
   std::shared_ptr<PlexusTcpEndpoint> client_ep;
-  net.alpha.Run([&] {
-    client_ep = net.alpha.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 80);
+  alpha.Run([&] {
+    client_ep = alpha.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 80);
     client_ep->SetOnData([&](std::span<const std::byte> d) {
       client_got.append(reinterpret_cast<const char*>(d.data()), d.size());
     });
     client_ep->SetOnEstablished([&] { client_ep->WriteString("ping"); });
   });
-  net.RunFor(sim::Duration::Seconds(5));
+  net.sim.RunFor(sim::Duration::Seconds(5));
   EXPECT_EQ(server_got, "ping");
   EXPECT_EQ(client_got, "pong");
 }
 
 TEST(PlexusIntegration, TcpBulkTransferOverLossyEthernet) {
-  TwoPlexusHosts net;
+  harness::Lan net;
+  auto &alpha = net.AddPlexus(1, "alpha", 111), &beta = net.AddPlexus(2, "beta", 222);
   drivers::Faults faults;
   faults.drop_probability = 0.03;
-  net.segment.set_faults(faults);
+  net.medium().set_faults(faults);
 
   std::vector<std::byte> payload(100 * 1024);
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::byte>((i * 11) & 0xff);
   }
   std::vector<std::byte> received;
-  net.beta.tcp().Listen(9000, [&](std::shared_ptr<PlexusTcpEndpoint> ep) {
+  beta.tcp().Listen(9000, [&](std::shared_ptr<PlexusTcpEndpoint> ep) {
     ep->SetOnData([&](std::span<const std::byte> d) {
       received.insert(received.end(), d.begin(), d.end());
     });
   });
   std::shared_ptr<PlexusTcpEndpoint> keep;
-  net.alpha.Run([&] {
-    keep = net.alpha.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 9000);
+  alpha.Run([&] {
+    keep = alpha.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 9000);
     keep->SetOnEstablished([&] { keep->Write(payload); });
   });
-  net.RunFor(sim::Duration::Seconds(200));
+  net.sim.RunFor(sim::Duration::Seconds(200));
   ASSERT_EQ(received.size(), payload.size());
   EXPECT_EQ(received, payload);
 }
 
 TEST(PlexusIntegration, HttpRequestOverPlexus) {
-  TwoPlexusHosts net;
+  harness::Lan net;
+  auto &alpha = net.AddPlexus(1, "alpha", 111), &beta = net.AddPlexus(2, "beta", 222);
   std::vector<std::unique_ptr<proto::HttpServerConnection>> server_conns;
-  net.beta.tcp().Listen(80, [&](std::shared_ptr<PlexusTcpEndpoint> ep) {
+  beta.tcp().Listen(80, [&](std::shared_ptr<PlexusTcpEndpoint> ep) {
     server_conns.push_back(std::make_unique<proto::HttpServerConnection>(
         *ep, [](const std::string& path) -> std::optional<std::string> {
           if (path == "/index.html") return "<html>SPIN web demo</html>";
@@ -322,58 +318,61 @@ TEST(PlexusIntegration, HttpRequestOverPlexus) {
   proto::HttpClient::Response response;
   std::shared_ptr<PlexusTcpEndpoint> client_ep;
   std::unique_ptr<proto::HttpClient> client;
-  net.alpha.Run([&] {
-    client_ep = net.alpha.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 80);
+  alpha.Run([&] {
+    client_ep = alpha.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 80);
     client = std::make_unique<proto::HttpClient>(
         *client_ep, [&](const proto::HttpClient::Response& r) { response = r; });
     client_ep->SetOnEstablished([&] { client->Get("/index.html"); });
   });
-  net.RunFor(sim::Duration::Seconds(10));
+  net.sim.RunFor(sim::Duration::Seconds(10));
   EXPECT_EQ(response.status, 200);
   EXPECT_EQ(response.body, "<html>SPIN web demo</html>");
 }
 
 TEST(PlexusIntegration, Http404ForUnknownPath) {
-  TwoPlexusHosts net;
+  harness::Lan net;
+  auto &alpha = net.AddPlexus(1, "alpha", 111), &beta = net.AddPlexus(2, "beta", 222);
   std::vector<std::unique_ptr<proto::HttpServerConnection>> server_conns;
-  net.beta.tcp().Listen(80, [&](std::shared_ptr<PlexusTcpEndpoint> ep) {
+  beta.tcp().Listen(80, [&](std::shared_ptr<PlexusTcpEndpoint> ep) {
     server_conns.push_back(std::make_unique<proto::HttpServerConnection>(
         *ep, [](const std::string&) { return std::nullopt; }));
   });
   proto::HttpClient::Response response;
   std::shared_ptr<PlexusTcpEndpoint> client_ep;
   std::unique_ptr<proto::HttpClient> client;
-  net.alpha.Run([&] {
-    client_ep = net.alpha.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 80);
+  alpha.Run([&] {
+    client_ep = alpha.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 80);
     client = std::make_unique<proto::HttpClient>(
         *client_ep, [&](const proto::HttpClient::Response& r) { response = r; });
     client_ep->SetOnEstablished([&] { client->Get("/missing"); });
   });
-  net.RunFor(sim::Duration::Seconds(10));
+  net.sim.RunFor(sim::Duration::Seconds(10));
   EXPECT_EQ(response.status, 404);
 }
 
 TEST(PlexusIntegration, ActiveMessagesRunAtInterruptLevel) {
-  TwoPlexusHosts net;
+  harness::Lan net;
+  auto &alpha = net.AddPlexus(1, "alpha", 111), &beta = net.AddPlexus(2, "beta", 222);
   std::uint32_t sum = 0;
   bool ran_in_ephemeral_scope = false;
-  net.beta.active_messages().RegisterHandler(
+  beta.active_messages().RegisterHandler(
       42, [&](net::MacAddress, std::uint32_t a0, std::uint32_t a1, std::span<const std::byte>) {
         sum = a0 + a1;
         ran_in_ephemeral_scope = spin::EphemeralScope::active();
       });
-  net.alpha.Run([&] {
-    net.alpha.active_messages().Send(net::MacAddress::FromId(2), 42, 40, 2);
+  alpha.Run([&] {
+    alpha.active_messages().Send(net::MacAddress::FromId(2), 42, 40, 2);
   });
-  net.RunFor(sim::Duration::Seconds(1));
+  net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(sum, 42u);
   EXPECT_TRUE(ran_in_ephemeral_scope);  // the AM handler executes at interrupt level
 }
 
 TEST(PlexusIntegration, IpFragmentationEndToEnd) {
-  TwoPlexusHosts net;  // Ethernet MTU 1500
-  auto tx = net.alpha.udp().CreateEndpoint(5000);
-  auto rx = net.beta.udp().CreateEndpoint(6000);
+  harness::Lan net;  // Ethernet MTU 1500
+  auto &alpha = net.AddPlexus(1, "alpha", 111), &beta = net.AddPlexus(2, "beta", 222);
+  auto tx = alpha.udp().CreateEndpoint(5000);
+  auto rx = beta.udp().CreateEndpoint(6000);
 
   std::vector<std::byte> big(4000);
   for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::byte>(i & 0xff);
@@ -384,21 +383,22 @@ TEST(PlexusIntegration, IpFragmentationEndToEnd) {
       [&](const net::Mbuf& payload, const proto::UdpDatagram&) { got = payload.Linearize(); },
       opts);
 
-  net.alpha.Run([&] {
+  alpha.Run([&] {
     tx.value()->Send(net::Mbuf::FromBytes(big), net::Ipv4Address(10, 0, 0, 2), 6000);
   });
-  net.RunFor(sim::Duration::Seconds(2));
+  net.sim.RunFor(sim::Duration::Seconds(2));
   ASSERT_EQ(got.size(), big.size());
   EXPECT_EQ(got, big);
-  EXPECT_GT(net.alpha.ip_layer().stats().tx_fragments, 1u);
-  EXPECT_EQ(net.beta.ip_layer().stats().reassembled, 1u);
+  EXPECT_GT(alpha.ip_layer().stats().tx_fragments, 1u);
+  EXPECT_EQ(beta.ip_layer().stats().reassembled, 1u);
 }
 
 TEST(PlexusIntegration, ExtensionLinkInstallUnloadMidTraffic) {
   // Runtime adaptation (Section 1): an extension arrives, counts traffic,
   // and leaves — without a reboot and without superuser privilege.
-  TwoPlexusHosts net;
-  auto tx = net.alpha.udp().CreateEndpoint(5000);
+  harness::Lan net;
+  auto &alpha = net.AddPlexus(1, "alpha", 111), &beta = net.AddPlexus(2, "beta", 222);
+  auto tx = alpha.udp().CreateEndpoint(5000);
 
   int counted = 0;
   std::shared_ptr<UdpEndpoint> ext_endpoint;
@@ -417,23 +417,23 @@ TEST(PlexusIntegration, ExtensionLinkInstallUnloadMidTraffic) {
       .OnCleanup([&] { ext_endpoint.reset(); });
 
   auto send_one = [&] {
-    net.alpha.Run([&] {
+    alpha.Run([&] {
       tx.value()->Send(net::Mbuf::FromString("tick"), net::Ipv4Address(10, 0, 0, 2), 6000);
     });
-    net.RunFor(sim::Duration::Millis(500));
+    net.sim.RunFor(sim::Duration::Millis(500));
   };
 
   send_one();  // before the extension: nobody listens
   EXPECT_EQ(counted, 0);
 
-  auto linked = net.beta.linker().Link(std::move(counter), net.beta.app_domain());
+  auto linked = beta.linker().Link(std::move(counter), beta.app_domain());
   ASSERT_TRUE(linked.ok()) << linked.error().message;
   ext_id = linked.value();
   send_one();
   send_one();
   EXPECT_EQ(counted, 2);
 
-  ASSERT_TRUE(net.beta.linker().Unlink(ext_id));
+  ASSERT_TRUE(beta.linker().Unlink(ext_id));
   send_one();  // after unlink: the handler is gone
   EXPECT_EQ(counted, 2);
 }
@@ -441,28 +441,31 @@ TEST(PlexusIntegration, ExtensionLinkInstallUnloadMidTraffic) {
 TEST(PlexusIntegration, ExtensionDeniedRawEthernetAccess) {
   // The application domain does not export EthernetManager; a would-be
   // snooper fails to link (the paper's link-time access control).
-  TwoPlexusHosts net;
+  harness::Lan net;
+  net.AddPlexus(1, "alpha", 111);
+  auto& beta = net.AddPlexus(2, "beta", 222);
   spin::Extension snooper("packet-snooper");
   bool ran = false;
   snooper.Require("EthernetManager").OnInit([&](const spin::SymbolTable&) { ran = true; });
-  auto r = net.beta.linker().Link(std::move(snooper), net.beta.app_domain());
+  auto r = beta.linker().Link(std::move(snooper), beta.app_domain());
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(ran);
   // The same extension links fine against the kernel domain (trusted code).
   spin::Extension trusted("kernel-tool");
   trusted.Require("EthernetManager");
-  EXPECT_TRUE(net.beta.linker().Link(std::move(trusted), net.beta.kernel_domain()).ok());
+  EXPECT_TRUE(beta.linker().Link(std::move(trusted), beta.kernel_domain()).ok());
 }
 
 TEST(PlexusIntegration, TcpSpecialImplementationClaimsPorts) {
   // Section 3.1: TCP-standard handles everything except the ports claimed
   // by TCP-special.
-  TwoPlexusHosts net;
+  harness::Lan net;
+  auto &alpha = net.AddPlexus(1, "alpha", 111), &beta = net.AddPlexus(2, "beta", 222);
   int special_segments = 0;
   spin::HandlerOptions opts;
   opts.ephemeral = true;
   opts.name = "tcp-special";
-  auto r = net.beta.tcp().InstallSpecialImplementation(
+  auto r = beta.tcp().InstallSpecialImplementation(
       {4242},
       [&](const net::Mbuf&, const net::Ipv4Header&) { ++special_segments; },
       opts);
@@ -471,28 +474,29 @@ TEST(PlexusIntegration, TcpSpecialImplementationClaimsPorts) {
   // A connection attempt to 4242 goes to the special implementation (which
   // swallows it), not to the standard demux (which would RST).
   std::shared_ptr<PlexusTcpEndpoint> ep;
-  net.alpha.Run([&] { ep = net.alpha.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 4242); });
-  net.RunFor(sim::Duration::Seconds(3));
+  alpha.Run([&] { ep = alpha.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 4242); });
+  net.sim.RunFor(sim::Duration::Seconds(3));
   EXPECT_GT(special_segments, 0);
 
   // Standard ports still work end-to-end.
   bool standard_established = false;
-  net.beta.tcp().Listen(80, [&](std::shared_ptr<PlexusTcpEndpoint>) {
+  beta.tcp().Listen(80, [&](std::shared_ptr<PlexusTcpEndpoint>) {
     standard_established = true;
   });
   std::shared_ptr<PlexusTcpEndpoint> ep2;
-  net.alpha.Run([&] { ep2 = net.alpha.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 80); });
-  net.RunFor(sim::Duration::Seconds(3));
+  alpha.Run([&] { ep2 = alpha.tcp().Connect(net::Ipv4Address(10, 0, 0, 2), 80); });
+  net.sim.RunFor(sim::Duration::Seconds(3));
   EXPECT_TRUE(standard_established);
 }
 
 TEST(PlexusIntegration, DispatcherStatsAccumulate) {
-  TwoPlexusHosts net;
-  net.alpha.Run([&] {
-    net.alpha.icmp().SendEchoRequest(net::Ipv4Address(10, 0, 0, 2), 1, 1, 8);
+  harness::Lan net;
+  auto &alpha = net.AddPlexus(1, "alpha", 111), &beta = net.AddPlexus(2, "beta", 222);
+  alpha.Run([&] {
+    alpha.icmp().SendEchoRequest(net::Ipv4Address(10, 0, 0, 2), 1, 1, 8);
   });
-  net.RunFor(sim::Duration::Seconds(1));
-  const auto stats = net.beta.dispatcher().stats();
+  net.sim.RunFor(sim::Duration::Seconds(1));
+  const auto stats = beta.dispatcher().stats();
   EXPECT_GT(stats.raises, 0u);
   // The kernel graph is fully indexed: raises pay demux lookups, and no
   // guard is ever evaluated on the ping path.
@@ -503,16 +507,8 @@ TEST(PlexusIntegration, DispatcherStatsAccumulate) {
 
 TEST(PlexusIntegration, WorksOverAtmAndT3Links) {
   for (auto profile : {DeviceProfile::ForeAtm155(), DeviceProfile::DecT3()}) {
-    sim::Simulator sim;
-    PointToPointLink link(sim);
-    PlexusHost a(sim, "a", sim::CostModel::Default1996(), profile,
-                 {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-    PlexusHost b(sim, "b", sim::CostModel::Default1996(), profile,
-                 {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-    a.AttachTo(link);
-    b.AttachTo(link);
-    a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+    harness::Lan lan(profile);  // a point-to-point link
+    auto &a = lan.AddPlexus(1, "a"), &b = lan.AddPlexus(2, "b");
 
     auto tx = a.udp().CreateEndpoint(5000).value();
     auto rx = b.udp().CreateEndpoint(6000).value();
@@ -525,7 +521,7 @@ TEST(PlexusIntegration, WorksOverAtmAndT3Links) {
       tx->Send(net::Mbuf::FromString("over " + profile.name), net::Ipv4Address(10, 0, 0, 2),
                6000);
     });
-    sim.RunFor(sim::Duration::Seconds(1));
+    lan.sim.RunFor(sim::Duration::Seconds(1));
     EXPECT_EQ(got, "over " + profile.name) << profile.name;
   }
 }

@@ -10,32 +10,13 @@
 #include "drivers/device_profile.h"
 #include "drivers/medium.h"
 #include "net/checksum.h"
+#include "net_harness.h"
 #include "os/socket_host.h"
 #include "os/sockets.h"
 #include "proto/transport_checksum.h"
 
 namespace core {
 namespace {
-
-using drivers::DeviceProfile;
-using drivers::EthernetSegment;
-
-struct Pair {
-  Pair()
-      : segment(sim),
-        a(sim, "a", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-          {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24}),
-        b(sim, "b", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-          {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24}) {
-    a.AttachTo(segment);
-    b.AttachTo(segment);
-    a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-    b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  }
-  sim::Simulator sim;
-  EthernetSegment segment;
-  PlexusHost a, b;
-};
 
 net::MbufPtr BuildUdpPacket(std::uint16_t src_port, std::uint16_t dst_port,
                             net::Ipv4Address src_ip, net::Ipv4Address dst_ip,
@@ -54,9 +35,10 @@ net::MbufPtr BuildUdpPacket(std::uint16_t src_port, std::uint16_t dst_port,
 }
 
 TEST(Protection, SendVerifiedAcceptsHonestPacket) {
-  Pair net;
-  auto tx = net.a.udp().CreateEndpoint(5000).value();
-  auto rx = net.b.udp().CreateEndpoint(7).value();
+  harness::Lan net;
+  auto &a = net.AddPlexus(1, "a"), &b = net.AddPlexus(2, "b");
+  auto tx = a.udp().CreateEndpoint(5000).value();
+  auto rx = b.udp().CreateEndpoint(7).value();
   std::string got;
   spin::HandlerOptions opts;
   opts.ephemeral = true;
@@ -64,7 +46,7 @@ TEST(Protection, SendVerifiedAcceptsHonestPacket) {
       [&](const net::Mbuf& p, const proto::UdpDatagram&) { got = p.ToString(); }, opts);
 
   bool accepted = false;
-  net.a.Run([&] {
+  a.Run([&] {
     auto pkt = BuildUdpPacket(5000, 7, net::Ipv4Address(10, 0, 0, 1),
                               net::Ipv4Address(10, 0, 0, 2), "honest");
     accepted = tx->SendVerified(std::move(pkt), net::Ipv4Address(10, 0, 0, 2));
@@ -72,14 +54,15 @@ TEST(Protection, SendVerifiedAcceptsHonestPacket) {
   net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_TRUE(accepted);
   EXPECT_EQ(got, "honest");
-  EXPECT_EQ(net.a.udp().stats().spoof_rejections, 0u);
+  EXPECT_EQ(a.udp().stats().spoof_rejections, 0u);
 }
 
 TEST(Protection, SendVerifiedRejectsSpoofedSourcePort) {
-  Pair net;
-  auto tx = net.a.udp().CreateEndpoint(5000).value();
-  auto victim_port_owner = net.a.udp().CreateEndpoint(6000).value();  // someone else's port
-  auto rx = net.b.udp().CreateEndpoint(7).value();
+  harness::Lan net;
+  auto &a = net.AddPlexus(1, "a"), &b = net.AddPlexus(2, "b");
+  auto tx = a.udp().CreateEndpoint(5000).value();
+  auto victim_port_owner = a.udp().CreateEndpoint(6000).value();  // someone else's port
+  auto rx = b.udp().CreateEndpoint(7).value();
   int delivered = 0;
   spin::HandlerOptions opts;
   opts.ephemeral = true;
@@ -87,7 +70,7 @@ TEST(Protection, SendVerifiedRejectsSpoofedSourcePort) {
       [&](const net::Mbuf&, const proto::UdpDatagram&) { ++delivered; }, opts);
 
   bool accepted = true;
-  net.a.Run([&] {
+  a.Run([&] {
     // The application claims to be port 6000 while holding endpoint 5000.
     auto pkt = BuildUdpPacket(6000, 7, net::Ipv4Address(10, 0, 0, 1),
                               net::Ipv4Address(10, 0, 0, 2), "spoof!");
@@ -96,48 +79,43 @@ TEST(Protection, SendVerifiedRejectsSpoofedSourcePort) {
   net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_FALSE(accepted);
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(net.a.udp().stats().spoof_rejections, 1u);
+  EXPECT_EQ(a.udp().stats().spoof_rejections, 1u);
 }
 
 TEST(Protection, UnclaimedPortGeneratesIcmpUnreachable) {
-  Pair net;
-  auto tx = net.a.udp().CreateEndpoint(5000).value();
-  net.a.Run([&] {
+  harness::Lan net;
+  auto &a = net.AddPlexus(1, "a"), &b = net.AddPlexus(2, "b");
+  auto tx = a.udp().CreateEndpoint(5000).value();
+  a.Run([&] {
     tx->Send(net::Mbuf::FromString("anyone home?"), net::Ipv4Address(10, 0, 0, 2), 9999);
   });
   net.sim.RunFor(sim::Duration::Seconds(1));
-  EXPECT_EQ(net.b.udp().stats().unreachable_sent, 1u);
-  EXPECT_GE(net.b.icmp().stats().errors_sent, 1u);
-  EXPECT_GE(net.a.icmp().stats().errors_received, 1u);
+  EXPECT_EQ(b.udp().stats().unreachable_sent, 1u);
+  EXPECT_GE(b.icmp().stats().errors_sent, 1u);
+  EXPECT_GE(a.icmp().stats().errors_received, 1u);
 }
 
 TEST(Protection, BaselineAlsoAnswersUnreachable) {
-  sim::Simulator sim;
-  EthernetSegment segment(sim);
-  os::SocketHost a(sim, "a", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-                   {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  os::SocketHost b(sim, "b", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-                   {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  a.AttachTo(segment);
-  b.AttachTo(segment);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  harness::Lan net;
+  auto &a = net.AddOs(1, "a"), &b = net.AddOs(2, "b");
   os::UdpSocket tx(a, 5000);
   tx.SendTo("hello?", net::Ipv4Address(10, 0, 0, 2), 9999);
-  sim.RunFor(sim::Duration::Seconds(1));
+  net.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_GE(b.icmp().stats().errors_sent, 1u);
   EXPECT_GE(a.icmp().stats().errors_received, 1u);
 }
 
 TEST(Protection, DescribeGraphShowsInstalledHandlers) {
-  Pair net;
-  auto ep = net.b.udp().CreateEndpoint(7).value();
+  harness::Lan net;
+  net.AddPlexus(1, "a");
+  auto& b = net.AddPlexus(2, "b");
+  auto ep = b.udp().CreateEndpoint(7).value();
   spin::HandlerOptions opts;
   opts.ephemeral = true;
   opts.name = "my-echo-service";
   (void)ep->InstallReceiveHandler([](const net::Mbuf&, const proto::UdpDatagram&) {}, opts);
 
-  const std::string graph = net.b.DescribeGraph();
+  const std::string graph = b.DescribeGraph();
   EXPECT_NE(graph.find("Ethernet.PacketRecv"), std::string::npos);
   EXPECT_NE(graph.find("arp-input"), std::string::npos);
   EXPECT_NE(graph.find("ip-input"), std::string::npos);
@@ -147,7 +125,7 @@ TEST(Protection, DescribeGraphShowsInstalledHandlers) {
 
   // After the endpoint goes away, its handler disappears from the graph.
   ep.reset();
-  EXPECT_EQ(net.b.DescribeGraph().find("my-echo-service"), std::string::npos);
+  EXPECT_EQ(b.DescribeGraph().find("my-echo-service"), std::string::npos);
 }
 
 }  // namespace

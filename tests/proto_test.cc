@@ -30,7 +30,6 @@ struct UdpFixture {
       : host(sim, "h", sim::CostModel::Default1996()),
         ip(host, {net::Ipv4Address(10, 0, 0, 1), 24, 1500}),
         udp(host, ip) {
-    ip.routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
     ip.SetTransmit([this](net::MbufPtr p, net::Ipv4Address, int) {
       sent.push_back(p->Linearize());
     });

@@ -35,20 +35,19 @@ struct RoutedNet {
     router.AttachTo(segment);
     server.AttachTo(segment);
 
-    // Client: 10.0.1/24 on-link, everything else via the router.
-    client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 1, 0), 24);
+    // Client: 10.0.1/24 on-link (its connected route), everything else via
+    // the router.
     client.ip_layer().routes().AddDefault(net::Ipv4Address(10, 0, 1, 1));
 
-    // Router: forwards; both subnets are reachable on its single wire.
+    // Router: forwards; both subnets are reachable on its single wire, so
+    // the server's subnet is on-link too.
     router.ip_layer().set_forwarding(true);
-    router.ip_layer().routes().Add(net::Ipv4Address(10, 0, 1, 0), 24);
     router.ip_layer().routes().Add(net::Ipv4Address(10, 0, 2, 0), 24);
     // The router answers ARP for 10.0.2.x queries from the 10.0.1 side? No:
     // hosts only ARP their own subnet; the router ARPs the server directly.
     router.arp().AddStatic(net::Ipv4Address(10, 0, 2, 10), net::MacAddress::FromId(3));
 
     // Server: 10.0.2/24 on-link, return path via the router.
-    server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 2, 0), 24);
     server.ip_layer().routes().AddDefault(net::Ipv4Address(10, 0, 2, 1));
     // The router's address on the server's subnet (alias) — static mapping,
     // since the router only claims 10.0.1.1 for ARP.

@@ -22,6 +22,7 @@
 
 #include "core/plexus.h"
 #include "drivers/medium.h"
+#include "net_harness.h"
 #include "sim/slab.h"
 
 namespace {
@@ -171,24 +172,11 @@ struct ScenarioResult {
 // so retransmission timers, delayed ACKs, clones, and TIME_WAIT churn all
 // execute — every mbuf/event allocation path the slabs serve.
 ScenarioResult RunScenario() {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  drivers::Faults faults;
-  faults.drop_probability = 0.02;
-  segment.set_faults(faults);
-
-  const auto costs = sim::CostModel::Default1996();
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  core::PlexusHost server(sim, "server", costs, profile,
-                          {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  core::PlexusHost client(sim, "client", costs, profile,
-                          {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  server.AttachTo(segment);
-  client.AttachTo(segment);
-  server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  server.arp().AddStatic(net::Ipv4Address(10, 0, 0, 2), net::MacAddress::FromId(2));
-  client.arp().AddStatic(net::Ipv4Address(10, 0, 0, 1), net::MacAddress::FromId(1));
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  lan.medium().set_faults({.drop_probability = 0.02});
+  auto &server = lan.AddPlexus(1, "server"), &client = lan.AddPlexus(2, "client");
+  lan.WarmArp();
 
   constexpr int kConns = 40;
   std::vector<std::byte> payload(700);

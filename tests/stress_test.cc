@@ -9,6 +9,7 @@
 #include "core/plexus.h"
 #include "drivers/device_profile.h"
 #include "drivers/medium.h"
+#include "net_harness.h"
 #include "sim/simulator.h"
 
 namespace core {
@@ -36,29 +37,14 @@ DeviceProfile ProfileFor(int idx) {
 TEST_P(StressTest, TcpExactDeliveryUnderFaultsWithConcurrentUdp) {
   const int seed = GetParam();
   const DeviceProfile profile = ProfileFor(seed);
-  sim::Simulator sim;
-  std::unique_ptr<drivers::Medium> medium;
-  if (seed % 3 == 0) {
-    medium = std::make_unique<drivers::EthernetSegment>(sim, 1000 + seed);
-  } else {
-    medium = std::make_unique<drivers::PointToPointLink>(sim, 1000 + seed);
-  }
+  harness::Lan lan(profile, 1000 + seed);
+  sim::Simulator& sim = lan.sim;
   drivers::Faults faults;
   faults.drop_probability = 0.01 * (seed % 4);       // 0..3%
   faults.duplicate_probability = 0.01 * (seed % 3);  // 0..2%
   faults.jitter_max = sim::Duration::Micros(100 * (seed % 5));
-  medium->set_faults(faults);
-
-  PlexusHost a(sim, "a", sim::CostModel::Default1996(), profile,
-               {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24},
-               HandlerMode::kInterrupt, 100 + seed);
-  PlexusHost b(sim, "b", sim::CostModel::Default1996(), profile,
-               {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24},
-               HandlerMode::kInterrupt, 200 + seed);
-  a.AttachTo(*medium);
-  b.AttachTo(*medium);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  lan.medium().set_faults(faults);
+  auto &a = lan.AddPlexus(1, "a", 100 + seed), &b = lan.AddPlexus(2, "b", 200 + seed);
 
   // TCP transfer a -> b.
   std::vector<std::byte> payload(40 * 1024);
@@ -127,16 +113,9 @@ INSTANTIATE_TEST_SUITE_P(FaultSweep, StressTest, ::testing::Range(0, 12));
 TEST(StressScale, ManyEndpointsManyConnections) {
   // 16 UDP endpoints and 6 TCP connections between two hosts at once; every
   // byte lands at the right consumer.
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  PlexusHost a(sim, "a", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-               {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  PlexusHost b(sim, "b", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-               {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  a.AttachTo(segment);
-  b.AttachTo(segment);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  auto &a = lan.AddPlexus(1, "a"), &b = lan.AddPlexus(2, "b");
 
   spin::HandlerOptions opts;
   opts.ephemeral = true;
@@ -196,16 +175,9 @@ TEST(StressScale, ManyEndpointsManyConnections) {
 }
 
 TEST(StressScale, GraphSurvivesRapidInstallUninstallChurn) {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  PlexusHost a(sim, "a", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-               {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  PlexusHost b(sim, "b", sim::CostModel::Default1996(), DeviceProfile::Ethernet10(),
-               {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  a.AttachTo(segment);
-  b.AttachTo(segment);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  auto &a = lan.AddPlexus(1, "a"), &b = lan.AddPlexus(2, "b");
 
   auto tx = a.udp().CreateEndpoint(5000).value();
   int received = 0;

@@ -24,6 +24,7 @@
 #include "batch_mode.h"
 #include "core/plexus.h"
 #include "drivers/medium.h"
+#include "net_harness.h"
 #include "sim/metrics.h"
 #include "sim/slab.h"
 
@@ -68,26 +69,12 @@ void DumpFlightIfFailed(const char* tag, core::PlexusHost& server,
 }
 
 TEST(TcpChurn, ThousandsOfConnectionsUnderFaultsDeliverExactly) {
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  drivers::Faults faults;
-  faults.drop_probability = 0.01;
-  faults.reorder_probability = 0.02;
-  faults.duplicate_probability = 0.005;
-  segment.set_faults(faults);
-
-  const auto costs = sim::CostModel::Default1996();
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  core::PlexusHost server(sim, "server", costs, profile,
-                          {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  core::PlexusHost client(sim, "client", costs, profile,
-                          {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  server.AttachTo(segment);
-  client.AttachTo(segment);
-  server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  server.arp().AddStatic(net::Ipv4Address(10, 0, 0, 2), net::MacAddress::FromId(2));
-  client.arp().AddStatic(net::Ipv4Address(10, 0, 0, 1), net::MacAddress::FromId(1));
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  lan.medium().set_faults(
+      {.drop_probability = 0.01, .duplicate_probability = 0.005, .reorder_probability = 0.02});
+  auto &server = lan.AddPlexus(1, "server"), &client = lan.AddPlexus(2, "client");
+  lan.WarmArp();
 
   // Server: accumulate each accepted stream; on stream close, verify it is
   // byte-identical to the payload its index prefix announces.
@@ -223,23 +210,12 @@ TEST(TcpChurn, ConvergesWithConstrainedMbufPools) {
   // retransmission machinery must absorb every drop. At the end the books
   // must be balanced — every pooled segment returned.
   constexpr int kSmallConns = 400;
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-
-  const auto costs = sim::CostModel::Default1996();
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  core::PlexusHost server(sim, "server", costs, profile,
-                          {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  core::PlexusHost client(sim, "client", costs, profile,
-                          {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  auto &server = lan.AddPlexus(1, "server"), &client = lan.AddPlexus(2, "client");
   server.SetMbufPoolCapacity(48);
   client.SetMbufPoolCapacity(48);
-  server.AttachTo(segment);
-  client.AttachTo(segment);
-  server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  server.arp().AddStatic(net::Ipv4Address(10, 0, 0, 2), net::MacAddress::FromId(2));
-  client.arp().AddStatic(net::Ipv4Address(10, 0, 0, 1), net::MacAddress::FromId(1));
+  lan.WarmArp();
 
   struct ServerConn {
     std::shared_ptr<core::PlexusTcpEndpoint> ep;
@@ -319,26 +295,12 @@ TEST(TcpChurn, BatchedModePinnedDeliversExactlyAndDrainsLeakFree) {
   ScopedBatchMode batched(true);
   constexpr int kBatchConns = 300;
 
-  sim::Simulator sim;
-  drivers::EthernetSegment segment(sim);
-  drivers::Faults faults;
-  faults.drop_probability = 0.01;
-  faults.reorder_probability = 0.02;
-  faults.duplicate_probability = 0.005;
-  segment.set_faults(faults);
-
-  const auto costs = sim::CostModel::Default1996();
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  core::PlexusHost server(sim, "server", costs, profile,
-                          {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24});
-  core::PlexusHost client(sim, "client", costs, profile,
-                          {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24});
-  server.AttachTo(segment);
-  client.AttachTo(segment);
-  server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  server.arp().AddStatic(net::Ipv4Address(10, 0, 0, 2), net::MacAddress::FromId(2));
-  client.arp().AddStatic(net::Ipv4Address(10, 0, 0, 1), net::MacAddress::FromId(1));
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
+  lan.medium().set_faults(
+      {.drop_probability = 0.01, .duplicate_probability = 0.005, .reorder_probability = 0.02});
+  auto &server = lan.AddPlexus(1, "server"), &client = lan.AddPlexus(2, "client");
+  lan.WarmArp();
 
   struct ServerConn {
     std::shared_ptr<core::PlexusTcpEndpoint> ep;

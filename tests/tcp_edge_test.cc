@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "net/view.h"
+#include "net_harness.h"
 #include "proto/tcp.h"
 #include "proto/tcp_demux.h"
 #include "proto/transport_checksum.h"
@@ -27,101 +28,30 @@ using State = TcpConnection::State;
 const net::Ipv4Address kClientIp(10, 0, 0, 1);
 const net::Ipv4Address kServerIp(10, 0, 0, 2);
 
-// Like TcpPipe but the server side is a TcpDemux with listeners, matching
-// the production wiring.
-struct DemuxPipe {
-  DemuxPipe()
-      : client_host(sim, "client", sim::CostModel::Default1996(), 1),
-        server_host(sim, "server", sim::CostModel::Default1996(), 2) {}
+using harness::TcpPipe;
 
-  void CreateClient(TcpConfig cfg = {}) {
-    TcpEndpoints ep{kClientIp, 1000, kServerIp, 80};
-    TcpConnection::Callbacks cbs;
-    cbs.send_segment = [this](net::MbufPtr seg, net::Ipv4Address src, net::Ipv4Address dst) {
-      auto shared = std::shared_ptr<net::Mbuf>(seg.release());
-      sim.Schedule(delay, [this, shared, src, dst] {
-        server_host.Submit(sim::Priority::kKernel, [this, shared, src, dst] {
-          demux.Input(net::MbufPtr(shared->ShareClone()), src, dst);
-        });
-      });
-    };
-    cbs.on_established = [this] { client_established = true; };
-    cbs.on_reset = [this](const std::string&) { client_reset = true; };
-    cbs.on_data = [this](std::span<const std::byte> d) {
-      client_rx.insert(client_rx.end(), d.begin(), d.end());
-    };
-    client = std::make_unique<TcpConnection>(client_host, cfg, ep, std::move(cbs));
-  }
-
-  // Wires server->client delivery for a server-side connection.
-  TcpConnection::Callbacks ServerCallbacks() {
-    TcpConnection::Callbacks cbs;
-    cbs.send_segment = [this](net::MbufPtr seg, net::Ipv4Address src, net::Ipv4Address dst) {
-      auto shared = std::shared_ptr<net::Mbuf>(seg.release());
-      sim.Schedule(delay, [this, shared, src, dst] {
-        client_host.Submit(sim::Priority::kKernel, [this, shared, src, dst] {
-          client->Input(net::MbufPtr(shared->ShareClone()), src, dst);
-        });
-      });
-    };
-    cbs.on_data = [this](std::span<const std::byte> d) {
-      server_rx.insert(server_rx.end(), d.begin(), d.end());
-    };
-    return cbs;
-  }
-
-  // The demux needs a RST path for unknown segments.
-  void WireRstSender() {
-    demux.SetRstSender([this](const net::TcpHeader& hdr, net::Ipv4Address src,
-                              net::Ipv4Address dst, std::size_t payload_len) {
-      auto m = MakeRst(nullptr, hdr, src, dst, payload_len);
-      auto shared = std::shared_ptr<net::Mbuf>(m.release());
-      sim.Schedule(delay, [this, shared, src] {
-        client_host.Submit(sim::Priority::kKernel, [this, shared, src] {
-          client->Input(net::MbufPtr(shared->ShareClone()), kServerIp, src);
-        });
-      });
-      rst_sent = true;
-    });
-  }
-
-  sim::Simulator sim;
-  sim::Host client_host, server_host;
-  std::unique_ptr<TcpConnection> client;
-  std::vector<std::unique_ptr<TcpConnection>> server_conns;
-  TcpDemux demux;
-  sim::Duration delay = sim::Duration::Millis(5);
-  std::vector<std::byte> client_rx, server_rx;
-  bool client_established = false;
-  bool client_reset = false;
-  bool rst_sent = false;
-};
+// The pipes' seeds: demux tests run client/server, connection-level edges
+// run hosts a/b.
+const TcpPipe::Config kDemuxSeeds{.client_seed = 1, .server_seed = 2};
+const TcpPipe::Config kDirect{.client_name = "a", .server_name = "b", .client_seed = 1,
+                              .server_seed = 2};
 
 TEST(TcpDemuxTest, ListenerAcceptsAndTransfers) {
-  DemuxPipe p;
+  TcpPipe p(kDemuxSeeds);
   p.CreateClient();
-  p.demux.Listen(80, [&](const TcpEndpoints& ep) -> TcpConnection* {
-    auto conn = std::make_unique<TcpConnection>(p.server_host, TcpConfig{}, ep,
-                                                p.ServerCallbacks());
-    conn->Listen();
-    p.demux.Register(conn.get());
-    p.server_conns.push_back(std::move(conn));
-    return p.server_conns.back().get();
-  });
+  p.demux.Listen(80, [&](const TcpEndpoints& ep) { return p.Accept(ep); });
   p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Connect(); });
   p.sim.RunFor(sim::Duration::Seconds(2));
   ASSERT_TRUE(p.client_established);
   p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->SendString("via demux"); });
   p.sim.RunFor(sim::Duration::Seconds(2));
-  EXPECT_EQ(std::string(reinterpret_cast<const char*>(p.server_rx.data()), p.server_rx.size()),
-            "via demux");
+  EXPECT_EQ(p.ServerReceivedString(), "via demux");
   EXPECT_EQ(p.demux.connection_count(), 1u);
 }
 
 TEST(TcpDemuxTest, SynToUnboundPortGetsRst) {
-  DemuxPipe p;
+  TcpPipe p(kDemuxSeeds);
   p.CreateClient();
-  p.WireRstSender();
   p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Connect(); });
   p.sim.RunFor(sim::Duration::Seconds(2));
   EXPECT_TRUE(p.rst_sent);
@@ -130,9 +60,8 @@ TEST(TcpDemuxTest, SynToUnboundPortGetsRst) {
 }
 
 TEST(TcpDemuxTest, ListenerRefusalFallsThroughToRst) {
-  DemuxPipe p;
+  TcpPipe p(kDemuxSeeds);
   p.CreateClient();
-  p.WireRstSender();
   p.demux.Listen(80, [](const TcpEndpoints&) -> TcpConnection* { return nullptr; });
   p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Connect(); });
   p.sim.RunFor(sim::Duration::Seconds(2));
@@ -140,9 +69,8 @@ TEST(TcpDemuxTest, ListenerRefusalFallsThroughToRst) {
 }
 
 TEST(TcpDemuxTest, StopListeningPreventsNewConnections) {
-  DemuxPipe p;
+  TcpPipe p(kDemuxSeeds);
   p.CreateClient();
-  p.WireRstSender();
   p.demux.Listen(80, [](const TcpEndpoints&) -> TcpConnection* { return nullptr; });
   p.demux.StopListening(80);
   EXPECT_FALSE(p.demux.IsListening(80));
@@ -152,102 +80,42 @@ TEST(TcpDemuxTest, StopListeningPreventsNewConnections) {
 }
 
 TEST(TcpDemuxTest, CorruptSegmentDroppedByChecksum) {
-  DemuxPipe p;
+  TcpPipe p(kDemuxSeeds);
   p.CreateClient();
-  // A listener that wires a normal server connection.
-  p.demux.Listen(80, [&](const TcpEndpoints& ep) -> TcpConnection* {
-    auto conn = std::make_unique<TcpConnection>(p.server_host, TcpConfig{}, ep,
-                                                p.ServerCallbacks());
-    conn->Listen();
-    p.demux.Register(conn.get());
-    p.server_conns.push_back(std::move(conn));
-    return p.server_conns.back().get();
-  });
+  p.demux.Listen(80, [&](const TcpEndpoints& ep) { return p.Accept(ep); });
   p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Connect(); });
   p.sim.RunFor(sim::Duration::Seconds(2));
   ASSERT_TRUE(p.client_established);
 
   // Deliver a hand-corrupted segment directly.
-  p.server_host.Submit(sim::Priority::kKernel, [&] {
-    net::TcpHeader hdr;
-    hdr.src_port = 1000;
-    hdr.dst_port = 80;
-    hdr.seq = 12345;
-    hdr.flags = net::tcpflag::kAck;
-    hdr.checksum = 0xdead;  // wrong on purpose
-    auto m = net::Mbuf::Allocate(sizeof(hdr) + 4);
-    net::StorePacket(*m, hdr);
-    p.demux.Input(std::move(m), kClientIp, kServerIp);
-  });
+  net::TcpHeader hdr;
+  hdr.src_port = 1000;
+  hdr.dst_port = 80;
+  hdr.seq = 12345;
+  hdr.flags = net::tcpflag::kAck;
+  hdr.checksum = 0xdead;  // wrong on purpose
+  auto m = net::Mbuf::Allocate(sizeof(hdr) + 4);
+  net::StorePacket(*m, hdr);
+  p.Inject(sim::Duration::Zero(), std::move(m));
   p.sim.RunFor(sim::Duration::Seconds(1));
-  EXPECT_EQ(p.server_conns[0]->stats().bad_checksums, 1u);
+  EXPECT_EQ(p.accepted[0]->stats().bad_checksums, 1u);
   EXPECT_TRUE(p.server_rx.empty());
 }
 
-// --- direct two-connection harness for protocol-level edges -----------------
-
-struct DirectPair {
-  DirectPair() : ha(sim, "a", sim::CostModel::Default1996(), 1),
-                 hb(sim, "b", sim::CostModel::Default1996(), 2) {}
-
-  void Create(TcpConfig ca = {}, TcpConfig cb = {}) {
-    TcpEndpoints ea{kClientIp, 1000, kServerIp, 80};
-    TcpEndpoints eb{kServerIp, 80, kClientIp, 1000};
-    a = std::make_unique<TcpConnection>(ha, ca, ea, Wire(&b_ptr, &hb, &a_rx));
-    b = std::make_unique<TcpConnection>(hb, cb, eb, Wire(&a_ptr, &ha, &b_rx));
-    a_ptr = a.get();
-    b_ptr = b.get();
-  }
-
-  TcpConnection::Callbacks Wire(TcpConnection** peer, sim::Host* peer_host,
-                                std::vector<std::byte>* rx_unused) {
-    (void)rx_unused;
-    TcpConnection::Callbacks cbs;
-    cbs.send_segment = [this, peer, peer_host](net::MbufPtr seg, net::Ipv4Address src,
-                                               net::Ipv4Address dst) {
-      if (drop_all) return;
-      auto shared = std::shared_ptr<net::Mbuf>(seg.release());
-      sim.Schedule(delay, [peer, peer_host, shared, src, dst] {
-        peer_host->Submit(sim::Priority::kKernel, [peer, shared, src, dst] {
-          if (*peer) (*peer)->Input(net::MbufPtr(shared->ShareClone()), src, dst);
-        });
-      });
-    };
-    return cbs;
-  }
-
-  void Handshake() {
-    hb.Submit(sim::Priority::kKernel, [&] { b->Listen(); });
-    ha.Submit(sim::Priority::kKernel, [&] { a->Connect(); });
-    sim.RunFor(sim::Duration::Seconds(3));
-    ASSERT_EQ(a->state(), State::kEstablished);
-    ASSERT_EQ(b->state(), State::kEstablished);
-  }
-
-  sim::Simulator sim;
-  sim::Host ha, hb;
-  std::unique_ptr<TcpConnection> a, b;
-  TcpConnection* a_ptr = nullptr;
-  TcpConnection* b_ptr = nullptr;
-  std::vector<std::byte> a_rx, b_rx;
-  sim::Duration delay = sim::Duration::Millis(5);
-  bool drop_all = false;
-};
-
 TEST(TcpEdge, TimeWaitReacksRetransmittedFin) {
-  DirectPair p;
+  TcpPipe p(kDirect);
   p.Create();
-  p.Handshake();
+  ASSERT_TRUE(p.Handshake(sim::Duration::Seconds(3)));
   // Full close: a initiates.
-  p.ha.Submit(sim::Priority::kKernel, [&] { p.a->Close(); });
+  p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Close(); });
   p.sim.RunFor(sim::Duration::Seconds(1));
-  p.hb.Submit(sim::Priority::kKernel, [&] { p.b->Close(); });
+  p.server_host.Submit(sim::Priority::kKernel, [&] { p.server->Close(); });
   p.sim.RunFor(sim::Duration::Seconds(1));
-  ASSERT_EQ(p.a->state(), State::kTimeWait);
-  const auto acks_before = p.a->stats().segments_sent;
+  ASSERT_EQ(p.client->state(), State::kTimeWait);
+  const auto acks_before = p.client->stats().segments_sent;
   // b's FIN retransmission (simulate the lost final ACK case) must be
   // re-acked and must restart 2MSL.
-  p.hb.Submit(sim::Priority::kKernel, [&] {
+  p.server_host.Submit(sim::Priority::kKernel, [&] {
     // Force b to retransmit its FIN by rewinding nothing — directly craft
     // is complex; instead deliver a duplicate of b's FIN by replaying
     // Close() internals: simplest honest approach: run b's rexmt.
@@ -255,25 +123,25 @@ TEST(TcpEdge, TimeWaitReacksRetransmittedFin) {
   });
   // Rather than surgery, verify TIME_WAIT expires into CLOSED.
   p.sim.RunFor(sim::Duration::Seconds(40));
-  EXPECT_EQ(p.a->state(), State::kClosed);
-  EXPECT_GE(p.a->stats().segments_sent, acks_before);
+  EXPECT_EQ(p.client->state(), State::kClosed);
+  EXPECT_GE(p.client->stats().segments_sent, acks_before);
 }
 
 TEST(TcpEdge, HalfCloseAllowsDataFromPeer) {
-  DirectPair p;
+  TcpPipe p(kDirect);
   p.Create();
-  p.Handshake();
+  ASSERT_TRUE(p.Handshake(sim::Duration::Seconds(3)));
   std::string a_got;
   // Reinstall a's on_data via a fresh connection is not possible; instead
   // check byte counters: a closes, then b sends — a must still deliver.
-  p.ha.Submit(sim::Priority::kKernel, [&] { p.a->Close(); });
+  p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Close(); });
   p.sim.RunFor(sim::Duration::Seconds(1));
-  EXPECT_EQ(p.a->state(), State::kFinWait2);
-  EXPECT_EQ(p.b->state(), State::kCloseWait);
-  const auto before = p.a->stats().bytes_received;
-  p.hb.Submit(sim::Priority::kKernel, [&] { p.b->SendString("late data"); });
+  EXPECT_EQ(p.client->state(), State::kFinWait2);
+  EXPECT_EQ(p.server->state(), State::kCloseWait);
+  const auto before = p.client->stats().bytes_received;
+  p.server_host.Submit(sim::Priority::kKernel, [&] { p.server->SendString("late data"); });
   p.sim.RunFor(sim::Duration::Seconds(1));
-  EXPECT_EQ(p.a->stats().bytes_received, before + 9);
+  EXPECT_EQ(p.client->stats().bytes_received, before + 9);
   (void)a_got;
 }
 
@@ -387,53 +255,53 @@ TEST(TcpEdge, MssOptionReaderToleratesMalformedOptionBlocks) {
 }
 
 TEST(TcpEdge, DelayedAckCoalescesSegments) {
-  DirectPair p;
+  TcpPipe p(kDirect);
   TcpConfig cfg;
   cfg.delayed_ack_enabled = true;
   cfg.initial_cwnd_segments = 4;
   p.Create(cfg, cfg);
-  p.Handshake();
-  const auto server_sent_before = p.b->stats().segments_sent;
+  ASSERT_TRUE(p.Handshake(sim::Duration::Seconds(3)));
+  const auto server_sent_before = p.server->stats().segments_sent;
   // Two quick segments from a: b should send ONE ack (every 2nd segment).
-  p.ha.Submit(sim::Priority::kKernel, [&] {
+  p.client_host.Submit(sim::Priority::kKernel, [&] {
     std::vector<std::byte> seg1(1460), seg2(1460);
-    p.a->Send(seg1);
-    p.a->Send(seg2);
+    p.client->Send(seg1);
+    p.client->Send(seg2);
   });
   p.sim.RunFor(sim::Duration::Seconds(1));
-  EXPECT_EQ(p.b->stats().segments_sent - server_sent_before, 1u);
+  EXPECT_EQ(p.server->stats().segments_sent - server_sent_before, 1u);
 }
 
 TEST(TcpEdge, NoDelayedAckSendsPerSegment) {
-  DirectPair p;
+  TcpPipe p(kDirect);
   TcpConfig cfg;
   cfg.delayed_ack_enabled = false;
   cfg.initial_cwnd_segments = 4;
   p.Create(cfg, cfg);
-  p.Handshake();
-  const auto server_sent_before = p.b->stats().segments_sent;
-  p.ha.Submit(sim::Priority::kKernel, [&] {
+  ASSERT_TRUE(p.Handshake(sim::Duration::Seconds(3)));
+  const auto server_sent_before = p.server->stats().segments_sent;
+  p.client_host.Submit(sim::Priority::kKernel, [&] {
     std::vector<std::byte> seg1(1460), seg2(1460);
-    p.a->Send(seg1);
-    p.a->Send(seg2);
+    p.client->Send(seg1);
+    p.client->Send(seg2);
   });
   p.sim.RunFor(sim::Duration::Seconds(1));
-  EXPECT_EQ(p.b->stats().segments_sent - server_sent_before, 2u);
+  EXPECT_EQ(p.server->stats().segments_sent - server_sent_before, 2u);
 }
 
 TEST(TcpEdge, ConnectTimesOutAgainstBlackHole) {
-  DirectPair p;
+  TcpPipe p(kDirect);
   TcpConfig cfg;
   cfg.rto_max = sim::Duration::Seconds(2);  // keep the test fast
   p.Create(cfg, cfg);
-  p.drop_all = true;
+  p.tap = [](TcpPipe::Segment&) { return false; };
   bool closed = false;
   // Recreate a with a close callback (Create was already called; patch via
   // new connection).
-  p.ha.Submit(sim::Priority::kKernel, [&] { p.a->Connect(); });
+  p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Connect(); });
   p.sim.RunFor(sim::Duration::Seconds(120));
-  EXPECT_EQ(p.a->state(), State::kClosed);
-  EXPECT_GT(p.a->stats().timeouts, 5u);
+  EXPECT_EQ(p.client->state(), State::kClosed);
+  EXPECT_GT(p.client->stats().timeouts, 5u);
   (void)closed;
 }
 
@@ -474,7 +342,7 @@ TEST(TcpBackoff, SynRetransmitIntervalCapsAtRtoMax) {
 // Zero-window persist probing backs off exponentially but the probe
 // interval saturates at persist_max.
 TEST(TcpBackoff, PersistIntervalCapsAtPersistMax) {
-  DirectPair p;
+  TcpPipe p(kDirect);
   TcpConfig ca;
   ca.persist_interval = sim::Duration::Millis(200);
   ca.persist_max = sim::Duration::Seconds(1);
@@ -482,55 +350,55 @@ TEST(TcpBackoff, PersistIntervalCapsAtPersistMax) {
   TcpConfig cb;
   cb.recv_window = 2048;
   p.Create(ca, cb);
-  p.Handshake();
-  p.hb.Submit(sim::Priority::kKernel, [&] { p.b->SetAutoConsume(false); });
+  ASSERT_TRUE(p.Handshake(sim::Duration::Seconds(3)));
+  p.server_host.Submit(sim::Priority::kKernel, [&] { p.server->SetAutoConsume(false); });
 
   std::vector<std::byte> data(16 * 1024, std::byte{0x42});
-  p.ha.Submit(sim::Priority::kKernel, [&] { p.a->Send(data); });
+  p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Send(data); });
   p.sim.RunFor(sim::Duration::Seconds(15));
 
-  EXPECT_GT(p.a->stats().persist_probes, 4u);
-  EXPECT_GT(p.a->persist_backoff(), 3);
+  EXPECT_GT(p.client->stats().persist_probes, 4u);
+  EXPECT_GT(p.client->persist_backoff(), 3);
   // However many probes went unanswered-by-progress, the next interval is
   // clamped to the configured ceiling.
-  EXPECT_EQ(p.a->current_persist_interval().ns(), ca.persist_max.ns());
+  EXPECT_EQ(p.client->current_persist_interval().ns(), ca.persist_max.ns());
 
   // Reader wakes up: the window reopens and the transfer completes.
-  p.hb.Submit(sim::Priority::kKernel, [&] {
-    p.b->SetAutoConsume(true);
-    p.b->Consume(1 << 30);
+  p.server_host.Submit(sim::Priority::kKernel, [&] {
+    p.server->SetAutoConsume(true);
+    p.server->Consume(1 << 30);
   });
   p.sim.RunFor(sim::Duration::Seconds(30));
-  EXPECT_EQ(p.b->stats().bytes_received, data.size());
-  EXPECT_EQ(p.a->state(), State::kEstablished);
+  EXPECT_EQ(p.server->stats().bytes_received, data.size());
+  EXPECT_EQ(p.client->state(), State::kEstablished);
 }
 
 // A 10-second blackout is shorter than the retransmission abort threshold:
 // the flow stalls, backs off, and completes once the link returns — no
 // reset, no timeout surfaced to the application.
 TEST(TcpBackoff, FlowSurvivesTenSecondBlackout) {
-  DirectPair p;
+  TcpPipe p(kDirect);
   TcpConfig cfg;
   cfg.rto_initial = sim::Duration::Millis(500);
   p.Create(cfg, cfg);
-  p.Handshake();
+  ASSERT_TRUE(p.Handshake(sim::Duration::Seconds(3)));
 
   std::vector<std::byte> data(24 * 1024, std::byte{0x7e});
-  p.ha.Submit(sim::Priority::kKernel, [&] { p.a->Send(data); });
+  p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Send(data); });
   p.sim.RunFor(sim::Duration::Millis(50));  // transfer under way
-  ASSERT_GT(p.b->stats().bytes_received, 0u);
-  ASSERT_LT(p.b->stats().bytes_received, data.size());
+  ASSERT_GT(p.server->stats().bytes_received, 0u);
+  ASSERT_LT(p.server->stats().bytes_received, data.size());
 
-  p.drop_all = true;
+  p.tap = [](TcpPipe::Segment&) { return false; };
   p.sim.RunFor(sim::Duration::Seconds(10));
-  EXPECT_EQ(p.a->state(), State::kEstablished);  // still inside the abort budget
-  const auto timeouts_during = p.a->stats().timeouts;
+  EXPECT_EQ(p.client->state(), State::kEstablished);  // still inside the abort budget
+  const auto timeouts_during = p.client->stats().timeouts;
   EXPECT_GT(timeouts_during, 1u);  // it really was retransmitting
 
-  p.drop_all = false;
+  p.tap = nullptr;
   p.sim.RunFor(sim::Duration::Seconds(60));
-  EXPECT_EQ(p.b->stats().bytes_received, data.size());
-  EXPECT_EQ(p.a->state(), State::kEstablished);
+  EXPECT_EQ(p.server->stats().bytes_received, data.size());
+  EXPECT_EQ(p.client->state(), State::kEstablished);
 }
 
 // --- per-flow telemetry ----------------------------------------------------------
@@ -539,13 +407,13 @@ TEST(TcpBackoff, FlowSurvivesTenSecondBlackout) {
 // must show up as timeouts, retransmits, live backoff, and a collapsed
 // cwnd; reconnecting the link must drain the backoff again.
 TEST(TcpTelemetry, InfoReflectsLossRecovery) {
-  DirectPair p;
+  TcpPipe p(kDirect);
   TcpConfig cfg;
   cfg.rto_initial = sim::Duration::Millis(500);
   p.Create(cfg, cfg);
-  p.Handshake();
+  ASSERT_TRUE(p.Handshake(sim::Duration::Seconds(3)));
 
-  TcpInfo info = p.a->info();
+  TcpInfo info = p.client->info();
   EXPECT_EQ(info.state, State::kEstablished);
   EXPECT_EQ(info.timeouts, 0u);
   EXPECT_EQ(info.retransmits, 0u);
@@ -553,17 +421,17 @@ TEST(TcpTelemetry, InfoReflectsLossRecovery) {
   EXPECT_GE(info.cwnd, info.mss);  // slow start opened at >= 1 MSS
 
   std::vector<std::byte> data(24 * 1024, std::byte{0x7e});
-  p.ha.Submit(sim::Priority::kKernel, [&] { p.a->Send(data); });
+  p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Send(data); });
   p.sim.RunFor(sim::Duration::Millis(50));
-  info = p.a->info();
+  info = p.client->info();
   EXPECT_GT(info.bytes_sent, 0u);   // transfer under way
   EXPECT_GT(info.in_flight, 0u);    // data outstanding, rexmt armed
   EXPECT_GT(info.rto_ns, 0);
 
   // Blackout before the first ACK returns: every RTO fires into the void.
-  p.drop_all = true;
+  p.tap = [](TcpPipe::Segment&) { return false; };
   p.sim.RunFor(sim::Duration::Seconds(10));
-  info = p.a->info();
+  info = p.client->info();
   EXPECT_EQ(info.state, State::kEstablished);
   EXPECT_GT(info.timeouts, 1u);       // RTOs really fired
   EXPECT_GT(info.retransmits, 1u);    // and retransmitted into the void
@@ -572,16 +440,16 @@ TEST(TcpTelemetry, InfoReflectsLossRecovery) {
   EXPECT_GT(info.in_flight, 0u);      // unacknowledged bytes outstanding
   EXPECT_FALSE(info.srtt_valid);      // no ACK ever timed the path (Karn)
 
-  p.drop_all = false;
+  p.tap = nullptr;
   p.sim.RunFor(sim::Duration::Seconds(60));
-  info = p.a->info();
+  info = p.client->info();
   EXPECT_EQ(info.rexmt_backoff, 0);  // recovery cleared the backoff
   EXPECT_EQ(info.in_flight, 0u);
   EXPECT_TRUE(info.srtt_valid);      // post-recovery ACKs timed the path
   EXPECT_GT(info.srtt_ns, 0);
   EXPECT_GT(info.rto_ns, info.srtt_ns);
   EXPECT_EQ(info.bytes_delivered, 0u);  // a sent; nothing flowed back
-  EXPECT_EQ(p.b->info().bytes_delivered, data.size());
+  EXPECT_EQ(p.server->info().bytes_delivered, data.size());
 
   // The JSON snapshot mirrors the struct, fields in declaration order.
   const std::string json = info.ToJson();
@@ -598,23 +466,23 @@ TEST(TcpTelemetry, InfoReflectsLossRecovery) {
 // while the transfer runs, a forced sample at the RTO collapse (so the
 // cwnd floor is never smoothed away), all on the virtual clock, bounded.
 TEST(TcpTelemetry, SamplerRecordsCwndCollapseInBoundedRing) {
-  DirectPair p;
+  TcpPipe p(kDirect);
   TcpConfig cfg;
   cfg.rto_initial = sim::Duration::Millis(500);
   p.Create(cfg, cfg);
-  p.Handshake();
+  ASSERT_TRUE(p.Handshake(sim::Duration::Seconds(3)));
   // Pure state mutation on the connection — no Submit, no scheduled event.
-  p.a->EnableSampling(sim::Duration::Millis(10), /*capacity=*/64);
+  p.client->EnableSampling(sim::Duration::Millis(10), /*capacity=*/64);
 
   std::vector<std::byte> data(24 * 1024, std::byte{0x7e});
-  p.ha.Submit(sim::Priority::kKernel, [&] { p.a->Send(data); });
+  p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Send(data); });
   p.sim.RunFor(sim::Duration::Millis(50));
-  p.drop_all = true;
+  p.tap = [](TcpPipe::Segment&) { return false; };
   p.sim.RunFor(sim::Duration::Seconds(10));
-  p.drop_all = false;
+  p.tap = nullptr;
   p.sim.RunFor(sim::Duration::Seconds(60));
 
-  const auto samples = p.a->Samples();
+  const auto samples = p.client->Samples();
   ASSERT_FALSE(samples.empty());
   EXPECT_LE(samples.size(), 64u);  // the ring is bounded
   // Oldest-first and strictly ordered on the virtual clock.
@@ -626,38 +494,38 @@ TEST(TcpTelemetry, SamplerRecordsCwndCollapseInBoundedRing) {
     min_cwnd = std::min(min_cwnd, samples[i].cwnd);
   }
   // The forced samples at the RTO collapses captured the 1-MSS floor.
-  EXPECT_EQ(min_cwnd, p.a->info().mss);
+  EXPECT_EQ(min_cwnd, p.client->info().mss);
 
-  const std::string json = p.a->SamplesJson();
+  const std::string json = p.client->SamplesJson();
   EXPECT_EQ(json.rfind("{\"samples\":[[", 0), 0u) << json;
   EXPECT_NE(json.find("\"dropped\":0"), std::string::npos) << json;
 
   // Shrink to a 2-deep ring with no interval gate: a short follow-on
   // transfer overflows it, and the evictions are accounted, not silent.
-  p.a->EnableSampling(sim::Duration::Zero(), /*capacity=*/2);
+  p.client->EnableSampling(sim::Duration::Zero(), /*capacity=*/2);
   std::vector<std::byte> more(8 * 1024, std::byte{0x55});
-  p.ha.Submit(sim::Priority::kKernel, [&] { p.a->Send(more); });
+  p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Send(more); });
   p.sim.RunFor(sim::Duration::Seconds(10));
-  EXPECT_EQ(p.a->Samples().size(), 2u);
-  EXPECT_GT(p.a->samples_dropped(), 0u);
-  EXPECT_NE(p.a->SamplesJson().find(
-                "\"dropped\":" + std::to_string(p.a->samples_dropped())),
+  EXPECT_EQ(p.client->Samples().size(), 2u);
+  EXPECT_GT(p.client->samples_dropped(), 0u);
+  EXPECT_NE(p.client->SamplesJson().find(
+                "\"dropped\":" + std::to_string(p.client->samples_dropped())),
             std::string::npos)
-      << p.a->SamplesJson();
+      << p.client->SamplesJson();
 }
 
 // Sampling is pure observation on the ACK clock: it schedules nothing, so
 // the simulator's timer metrics are byte-identical with it on or off.
 TEST(TcpTelemetry, SamplerDoesNotPerturbVirtualTime) {
   auto run = [](bool sample) {
-    DirectPair p;
+    TcpPipe p(kDirect);
     p.Create();
-    p.Handshake();
-    if (sample) p.a->EnableSampling(sim::Duration::Millis(5), 64);
+    EXPECT_TRUE(p.Handshake(sim::Duration::Seconds(3)));
+    if (sample) p.client->EnableSampling(sim::Duration::Millis(5), 64);
     std::vector<std::byte> data(16 * 1024, std::byte{0x42});
-    p.ha.Submit(sim::Priority::kKernel, [&] { p.a->Send(data); });
+    p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Send(data); });
     p.sim.RunFor(sim::Duration::Seconds(30));
-    EXPECT_EQ(p.b->stats().bytes_received, data.size());
+    EXPECT_EQ(p.server->stats().bytes_received, data.size());
     return p.sim.metrics().ToJson();
   };
   EXPECT_EQ(run(false), run(true));

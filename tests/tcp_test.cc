@@ -14,6 +14,7 @@
 #include "sim/cost_model.h"
 #include "sim/host.h"
 #include "sim/simulator.h"
+#include "net_harness.h"
 
 namespace proto {
 namespace {
@@ -30,135 +31,27 @@ TEST(TcpSeq, WrapSafeComparisons) {
   EXPECT_EQ(SeqDiff(0xfffffffeu, 2), 4u);
 }
 
-// A bidirectional pipe between two TcpConnections with per-segment control.
-class TcpPipe {
- public:
-  struct SegmentInfo {
-    net::TcpHeader hdr;
-    std::size_t payload_len;
-    int index;  // per-direction emission counter
-  };
-  // Return false to drop the segment.
-  using Filter = std::function<bool(const SegmentInfo&, bool from_client)>;
-
-  TcpPipe()
-      : client_host_(sim_, "client", sim::CostModel::Default1996(), 11),
-        server_host_(sim_, "server", sim::CostModel::Default1996(), 22) {}
-
-  void Create(TcpConfig client_cfg = {}, TcpConfig server_cfg = {}) {
-    const net::Ipv4Address kClientIp(10, 0, 0, 1), kServerIp(10, 0, 0, 2);
-    TcpEndpoints cep{kClientIp, 1000, kServerIp, 80};
-    TcpEndpoints sep{kServerIp, 80, kClientIp, 1000};
-
-    client_ = std::make_unique<TcpConnection>(client_host_, client_cfg, cep,
-                                              MakeCallbacks(/*is_client=*/true));
-    server_ = std::make_unique<TcpConnection>(server_host_, server_cfg, sep,
-                                              MakeCallbacks(/*is_client=*/false));
-  }
-
-  TcpConnection::Callbacks MakeCallbacks(bool is_client) {
-    TcpConnection::Callbacks cbs;
-    cbs.send_segment = [this, is_client](net::MbufPtr seg, net::Ipv4Address src,
-                                         net::Ipv4Address dst) {
-      Deliver(std::move(seg), src, dst, is_client);
-    };
-    if (is_client) {
-      cbs.on_established = [this] { client_established_ = true; };
-      cbs.on_data = [this](std::span<const std::byte> d) {
-        client_rx_.insert(client_rx_.end(), d.begin(), d.end());
-      };
-      cbs.on_remote_close = [this] { client_saw_close_ = true; };
-      cbs.on_reset = [this](const std::string&) { client_reset_ = true; };
-    } else {
-      cbs.on_established = [this] { server_established_ = true; };
-      cbs.on_data = [this](std::span<const std::byte> d) {
-        server_rx_.insert(server_rx_.end(), d.begin(), d.end());
-      };
-      cbs.on_remote_close = [this] { server_saw_close_ = true; };
-      cbs.on_reset = [this](const std::string&) { server_reset_ = true; };
-    }
-    return cbs;
-  }
-
-  void Deliver(net::MbufPtr seg, net::Ipv4Address src, net::Ipv4Address dst, bool from_client) {
-    auto hdr = net::ViewPacket<net::TcpHeader>(*seg);
-    SegmentInfo info{hdr, seg->PacketLength() - hdr.header_length(),
-                     from_client ? client_seg_index_++ : server_seg_index_++};
-    if (filter_ && !filter_(info, from_client)) return;  // dropped
-
-    sim::Duration delay = delay_ + extra_delay_;
-    extra_delay_ = sim::Duration::Zero();
-    auto shared = std::shared_ptr<net::Mbuf>(seg.release());
-    TcpConnection* peer = from_client ? server_.get() : client_.get();
-    sim::Host& peer_host = from_client ? server_host_ : client_host_;
-    sim_.Schedule(delay, [&peer_host, peer, shared, src, dst] {
-      peer_host.Submit(sim::Priority::kKernel, [peer, shared, src, dst] {
-        peer->Input(net::MbufPtr(shared->ShareClone()), src, dst);
-      });
-    });
-  }
-
-  void Handshake() {
-    server_host_.Submit(sim::Priority::kKernel, [this] { server_->Listen(); });
-    client_host_.Submit(sim::Priority::kKernel, [this] { client_->Connect(); });
-    sim_.RunFor(sim::Duration::Seconds(5));
-    ASSERT_TRUE(client_established_);
-    ASSERT_TRUE(server_established_);
-  }
-
-  void ClientSend(std::string_view s) {
-    client_host_.Submit(sim::Priority::kKernel, [this, str = std::string(s)] {
-      client_->SendString(str);
-    });
-  }
-  void ClientSendBytes(std::vector<std::byte> data) {
-    client_host_.Submit(sim::Priority::kKernel,
-                        [this, d = std::move(data)] { client_->Send(d); });
-  }
-
-  std::string ServerReceivedString() const {
-    return std::string(reinterpret_cast<const char*>(server_rx_.data()), server_rx_.size());
-  }
-  std::string ClientReceivedString() const {
-    return std::string(reinterpret_cast<const char*>(client_rx_.data()), client_rx_.size());
-  }
-
-  sim::Simulator sim_;
-  sim::Host client_host_;
-  sim::Host server_host_;
-  std::unique_ptr<TcpConnection> client_;
-  std::unique_ptr<TcpConnection> server_;
-  Filter filter_;
-  sim::Duration delay_ = sim::Duration::Millis(5);
-  sim::Duration extra_delay_ = sim::Duration::Zero();
-  int client_seg_index_ = 0;
-  int server_seg_index_ = 0;
-
-  std::vector<std::byte> client_rx_, server_rx_;
-  bool client_established_ = false, server_established_ = false;
-  bool client_saw_close_ = false, server_saw_close_ = false;
-  bool client_reset_ = false, server_reset_ = false;
-};
+using harness::TcpPipe;
 
 TEST(Tcp, ThreeWayHandshake) {
   TcpPipe pipe;
   pipe.Create();
-  pipe.Handshake();
-  EXPECT_EQ(pipe.client_->state(), State::kEstablished);
-  EXPECT_EQ(pipe.server_->state(), State::kEstablished);
+  ASSERT_TRUE(pipe.Handshake());
+  EXPECT_EQ(pipe.client->state(), State::kEstablished);
+  EXPECT_EQ(pipe.server->state(), State::kEstablished);
   // SYN + SYN|ACK + ACK = 3 segments minimum.
-  EXPECT_GE(pipe.client_->stats().segments_sent, 2u);
-  EXPECT_GE(pipe.server_->stats().segments_sent, 1u);
+  EXPECT_GE(pipe.client->stats().segments_sent, 2u);
+  EXPECT_GE(pipe.server->stats().segments_sent, 1u);
 }
 
 TEST(Tcp, DataBothDirections) {
   TcpPipe pipe;
   pipe.Create();
-  pipe.Handshake();
+  ASSERT_TRUE(pipe.Handshake());
   pipe.ClientSend("hello from client");
-  pipe.server_host_.Submit(sim::Priority::kKernel,
-                           [&] { pipe.server_->SendString("hi from server"); });
-  pipe.sim_.RunFor(sim::Duration::Seconds(2));
+  pipe.server_host.Submit(sim::Priority::kKernel,
+                           [&] { pipe.server->SendString("hi from server"); });
+  pipe.sim.RunFor(sim::Duration::Seconds(2));
   EXPECT_EQ(pipe.ServerReceivedString(), "hello from client");
   EXPECT_EQ(pipe.ClientReceivedString(), "hi from server");
 }
@@ -166,29 +59,29 @@ TEST(Tcp, DataBothDirections) {
 TEST(Tcp, GracefulCloseBothSides) {
   TcpPipe pipe;
   pipe.Create();
-  pipe.Handshake();
+  ASSERT_TRUE(pipe.Handshake());
   pipe.ClientSend("bye");
-  pipe.client_host_.Submit(sim::Priority::kKernel, [&] { pipe.client_->Close(); });
-  pipe.sim_.RunFor(sim::Duration::Seconds(2));
-  EXPECT_TRUE(pipe.server_saw_close_);
-  EXPECT_EQ(pipe.server_->state(), State::kCloseWait);
+  pipe.client_host.Submit(sim::Priority::kKernel, [&] { pipe.client->Close(); });
+  pipe.sim.RunFor(sim::Duration::Seconds(2));
+  EXPECT_TRUE(pipe.server_saw_close);
+  EXPECT_EQ(pipe.server->state(), State::kCloseWait);
   EXPECT_EQ(pipe.ServerReceivedString(), "bye");
 
-  pipe.server_host_.Submit(sim::Priority::kKernel, [&] { pipe.server_->Close(); });
-  pipe.sim_.RunFor(sim::Duration::Seconds(2));
-  EXPECT_TRUE(pipe.client_saw_close_);
-  EXPECT_EQ(pipe.server_->state(), State::kClosed);
-  EXPECT_EQ(pipe.client_->state(), State::kTimeWait);
+  pipe.server_host.Submit(sim::Priority::kKernel, [&] { pipe.server->Close(); });
+  pipe.sim.RunFor(sim::Duration::Seconds(2));
+  EXPECT_TRUE(pipe.client_saw_close);
+  EXPECT_EQ(pipe.server->state(), State::kClosed);
+  EXPECT_EQ(pipe.client->state(), State::kTimeWait);
 
   // 2MSL expiry.
-  pipe.sim_.RunFor(sim::Duration::Seconds(40));
-  EXPECT_EQ(pipe.client_->state(), State::kClosed);
+  pipe.sim.RunFor(sim::Duration::Seconds(40));
+  EXPECT_EQ(pipe.client->state(), State::kClosed);
 }
 
 TEST(Tcp, BulkTransferDeliversExactByteStream) {
   TcpPipe pipe;
   pipe.Create();
-  pipe.Handshake();
+  ASSERT_TRUE(pipe.Handshake());
   std::vector<std::byte> data(200 * 1024);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<std::byte>((i * 7 + 3) & 0xff);
@@ -196,47 +89,47 @@ TEST(Tcp, BulkTransferDeliversExactByteStream) {
   // Feed in chunks as the send buffer drains.
   std::size_t offset = 0;
   std::function<void()> feed = [&] {
-    pipe.client_host_.Submit(sim::Priority::kKernel, [&] {
+    pipe.client_host.Submit(sim::Priority::kKernel, [&] {
       while (offset < data.size()) {
-        const std::size_t n = pipe.client_->Send(
+        const std::size_t n = pipe.client->Send(
             std::span<const std::byte>(data).subspan(offset, std::min<std::size_t>(
                                                                  8192, data.size() - offset)));
         offset += n;
         if (n == 0) break;
       }
-      if (offset < data.size()) pipe.sim_.Schedule(sim::Duration::Millis(20), feed);
+      if (offset < data.size()) pipe.sim.Schedule(sim::Duration::Millis(20), feed);
     });
   };
   feed();
-  pipe.sim_.RunFor(sim::Duration::Seconds(60));
-  ASSERT_EQ(pipe.server_rx_.size(), data.size());
-  EXPECT_EQ(pipe.server_rx_, data);
-  EXPECT_EQ(pipe.server_->stats().bad_checksums, 0u);
+  pipe.sim.RunFor(sim::Duration::Seconds(60));
+  ASSERT_EQ(pipe.server_rx.size(), data.size());
+  EXPECT_EQ(pipe.server_rx, data);
+  EXPECT_EQ(pipe.server->stats().bad_checksums, 0u);
 }
 
 TEST(Tcp, RecoversFromPeriodicLoss) {
   TcpPipe pipe;
   pipe.Create();
-  pipe.Handshake();
+  ASSERT_TRUE(pipe.Handshake());
   // Drop every 10th data-bearing segment from the client.
-  pipe.filter_ = [](const TcpPipe::SegmentInfo& info, bool from_client) {
-    if (!from_client || info.payload_len == 0) return true;
+  pipe.tap = [](TcpPipe::Segment& info) {
+    if (!info.from_client || info.payload_len == 0) return true;
     return info.index % 10 != 7;
   };
   std::vector<std::byte> data(60 * 1024);
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::byte>(i & 0xff);
   std::size_t offset = 0;
   std::function<void()> feed = [&] {
-    pipe.client_host_.Submit(sim::Priority::kKernel, [&] {
-      offset += pipe.client_->Send(std::span<const std::byte>(data).subspan(offset));
-      if (offset < data.size()) pipe.sim_.Schedule(sim::Duration::Millis(50), feed);
+    pipe.client_host.Submit(sim::Priority::kKernel, [&] {
+      offset += pipe.client->Send(std::span<const std::byte>(data).subspan(offset));
+      if (offset < data.size()) pipe.sim.Schedule(sim::Duration::Millis(50), feed);
     });
   };
   feed();
-  pipe.sim_.RunFor(sim::Duration::Seconds(120));
-  ASSERT_EQ(pipe.server_rx_.size(), data.size());
-  EXPECT_EQ(pipe.server_rx_, data);
-  EXPECT_GT(pipe.client_->stats().retransmissions, 0u);
+  pipe.sim.RunFor(sim::Duration::Seconds(120));
+  ASSERT_EQ(pipe.server_rx.size(), data.size());
+  EXPECT_EQ(pipe.server_rx, data);
+  EXPECT_GT(pipe.client->stats().retransmissions, 0u);
 }
 
 TEST(Tcp, FastRetransmitOnTripleDupAck) {
@@ -245,46 +138,46 @@ TEST(Tcp, FastRetransmitOnTripleDupAck) {
   cfg.initial_cwnd_segments = 8;  // enough flight for 3 dupacks
   cfg.delayed_ack_enabled = false;
   pipe.Create(cfg, cfg);
-  pipe.Handshake();
+  ASSERT_TRUE(pipe.Handshake());
   // Drop exactly one data segment (the 2nd data-bearing one).
   int data_count = 0;
-  pipe.filter_ = [&data_count](const TcpPipe::SegmentInfo& info, bool from_client) {
-    if (!from_client || info.payload_len == 0) return true;
+  pipe.tap = [&data_count](TcpPipe::Segment& info) {
+    if (!info.from_client || info.payload_len == 0) return true;
     return ++data_count != 2;
   };
   std::vector<std::byte> data(12 * 1024);
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::byte>(i & 0xff);
-  pipe.ClientSendBytes(data);
-  pipe.sim_.RunFor(sim::Duration::Seconds(10));
-  ASSERT_EQ(pipe.server_rx_.size(), data.size());
-  EXPECT_EQ(pipe.server_rx_, data);
-  EXPECT_GE(pipe.client_->stats().fast_retransmits, 1u);
-  EXPECT_GT(pipe.client_->stats().dup_acks_received, 2u);
+  pipe.ClientSend(data);
+  pipe.sim.RunFor(sim::Duration::Seconds(10));
+  ASSERT_EQ(pipe.server_rx.size(), data.size());
+  EXPECT_EQ(pipe.server_rx, data);
+  EXPECT_GE(pipe.client->stats().fast_retransmits, 1u);
+  EXPECT_GT(pipe.client->stats().dup_acks_received, 2u);
 }
 
 TEST(Tcp, SynLossRecoveredByRetransmission) {
   TcpPipe pipe;
   pipe.Create();
   int syn_count = 0;
-  pipe.filter_ = [&syn_count](const TcpPipe::SegmentInfo& info, bool from_client) {
-    if (from_client && (info.hdr.flags & net::tcpflag::kSyn)) {
+  pipe.tap = [&syn_count](TcpPipe::Segment& info) {
+    if (info.from_client && (info.hdr.flags & net::tcpflag::kSyn)) {
       return ++syn_count > 1;  // drop the first SYN
     }
     return true;
   };
-  pipe.Handshake();
-  EXPECT_EQ(pipe.client_->state(), State::kEstablished);
-  EXPECT_GT(pipe.client_->stats().timeouts, 0u);
+  ASSERT_TRUE(pipe.Handshake());
+  EXPECT_EQ(pipe.client->state(), State::kEstablished);
+  EXPECT_GT(pipe.client->stats().timeouts, 0u);
 }
 
 TEST(Tcp, ConnectionRefusedByClosedPeer) {
   TcpPipe pipe;
   pipe.Create();
   // Server never listens: stays CLOSED and answers the SYN with RST.
-  pipe.client_host_.Submit(sim::Priority::kKernel, [&] { pipe.client_->Connect(); });
-  pipe.sim_.RunFor(sim::Duration::Seconds(5));
-  EXPECT_TRUE(pipe.client_reset_);
-  EXPECT_EQ(pipe.client_->state(), State::kClosed);
+  pipe.client_host.Submit(sim::Priority::kKernel, [&] { pipe.client->Connect(); });
+  pipe.sim.RunFor(sim::Duration::Seconds(5));
+  EXPECT_TRUE(pipe.client_reset);
+  EXPECT_EQ(pipe.client->state(), State::kClosed);
 }
 
 TEST(Tcp, MssNegotiationUsesMinimum) {
@@ -292,19 +185,19 @@ TEST(Tcp, MssNegotiationUsesMinimum) {
   TcpConfig small;
   small.mss = 536;
   pipe.Create(TcpConfig{}, small);  // client 1460, server 536
-  pipe.Handshake();
-  EXPECT_EQ(pipe.client_->effective_mss(), 536u);
+  ASSERT_TRUE(pipe.Handshake());
+  EXPECT_EQ(pipe.client->effective_mss(), 536u);
   // Client segments must respect the peer's MSS.
   std::size_t max_payload = 0;
-  pipe.filter_ = [&max_payload](const TcpPipe::SegmentInfo& info, bool from_client) {
-    if (from_client) max_payload = std::max(max_payload, info.payload_len);
+  pipe.tap = [&max_payload](TcpPipe::Segment& info) {
+    if (info.from_client) max_payload = std::max(max_payload, info.payload_len);
     return true;
   };
   std::vector<std::byte> data(8000);
-  pipe.ClientSendBytes(data);
-  pipe.sim_.RunFor(sim::Duration::Seconds(5));
+  pipe.ClientSend(data);
+  pipe.sim.RunFor(sim::Duration::Seconds(5));
   EXPECT_LE(max_payload, 536u);
-  EXPECT_EQ(pipe.server_rx_.size(), 8000u);
+  EXPECT_EQ(pipe.server_rx.size(), 8000u);
 }
 
 TEST(Tcp, ZeroWindowPersistProbes) {
@@ -312,23 +205,23 @@ TEST(Tcp, ZeroWindowPersistProbes) {
   TcpConfig server_cfg;
   server_cfg.recv_window = 4096;
   pipe.Create(TcpConfig{}, server_cfg);
-  pipe.Handshake();
-  pipe.server_->SetAutoConsume(false);  // receiver app stops reading
+  ASSERT_TRUE(pipe.Handshake());
+  pipe.server->SetAutoConsume(false);  // receiver app stops reading
 
   std::vector<std::byte> data(32 * 1024);
-  pipe.ClientSendBytes(data);
-  pipe.sim_.RunFor(sim::Duration::Seconds(10));
+  pipe.ClientSend(data);
+  pipe.sim.RunFor(sim::Duration::Seconds(10));
   // Window must have closed: less than everything delivered, probes sent.
-  EXPECT_LT(pipe.server_rx_.size(), data.size());
-  EXPECT_GT(pipe.client_->stats().persist_probes, 0u);
+  EXPECT_LT(pipe.server_rx.size(), data.size());
+  EXPECT_GT(pipe.client->stats().persist_probes, 0u);
 
   // Reader resumes: consume everything as it arrives.
-  pipe.server_host_.Submit(sim::Priority::kKernel, [&] {
-    pipe.server_->SetAutoConsume(true);
-    pipe.server_->Consume(1 << 30);
+  pipe.server_host.Submit(sim::Priority::kKernel, [&] {
+    pipe.server->SetAutoConsume(true);
+    pipe.server->Consume(1 << 30);
   });
-  pipe.sim_.RunFor(sim::Duration::Seconds(60));
-  EXPECT_EQ(pipe.server_rx_.size(), data.size());
+  pipe.sim.RunFor(sim::Duration::Seconds(60));
+  EXPECT_EQ(pipe.server_rx.size(), data.size());
 }
 
 TEST(Tcp, ReorderedSegmentsDeliveredInOrder) {
@@ -337,71 +230,62 @@ TEST(Tcp, ReorderedSegmentsDeliveredInOrder) {
   cfg.initial_cwnd_segments = 4;
   cfg.delayed_ack_enabled = false;
   pipe.Create(cfg, cfg);
-  pipe.Handshake();
+  ASSERT_TRUE(pipe.Handshake());
   // Delay the 1st data segment so it arrives after the 2nd.
   int data_count = 0;
-  pipe.filter_ = [&](const TcpPipe::SegmentInfo& info, bool from_client) {
-    if (from_client && info.payload_len > 0 && ++data_count == 1) {
-      pipe.extra_delay_ = sim::Duration::Millis(30);
+  pipe.tap = [&](TcpPipe::Segment& info) {
+    if (info.from_client && info.payload_len > 0 && ++data_count == 1) {
+      info.delay += sim::Duration::Millis(30);
     }
     return true;
   };
   std::vector<std::byte> data(4000);
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::byte>(i & 0xff);
-  pipe.ClientSendBytes(data);
-  pipe.sim_.RunFor(sim::Duration::Seconds(10));
-  ASSERT_EQ(pipe.server_rx_.size(), data.size());
-  EXPECT_EQ(pipe.server_rx_, data);
-  EXPECT_GT(pipe.server_->stats().out_of_order_segments, 0u);
+  pipe.ClientSend(data);
+  pipe.sim.RunFor(sim::Duration::Seconds(10));
+  ASSERT_EQ(pipe.server_rx.size(), data.size());
+  EXPECT_EQ(pipe.server_rx, data);
+  EXPECT_GT(pipe.server->stats().out_of_order_segments, 0u);
 }
 
 TEST(Tcp, DuplicatedSegmentsDeliveredOnce) {
   TcpPipe pipe;
   pipe.Create();
-  pipe.Handshake();
-  // Duplicate every client data segment by re-delivering it.
-  pipe.filter_ = [&pipe](const TcpPipe::SegmentInfo& info, bool from_client) {
-    static thread_local bool duplicating = false;
-    if (from_client && info.payload_len > 0 && !duplicating) {
-      // Nothing to do here: duplication handled by a pipe-level hack below.
-    }
-    return true;
-  };
-  // Simpler duplication: send the same payload twice from the app; TCP
-  // dedup is covered by retransmission tests. Here verify explicit replay:
+  ASSERT_TRUE(pipe.Handshake());
+  // Duplicate suppression itself is covered by the retransmission tests;
+  // here the stream must arrive exactly once:
   std::vector<std::byte> data(3000);
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::byte>(i & 0xff);
-  pipe.ClientSendBytes(data);
-  pipe.sim_.RunFor(sim::Duration::Seconds(3));
-  ASSERT_EQ(pipe.server_rx_.size(), data.size());
+  pipe.ClientSend(data);
+  pipe.sim.RunFor(sim::Duration::Seconds(3));
+  ASSERT_EQ(pipe.server_rx.size(), data.size());
 
   // Now force a spurious retransmission: rewind is internal, so emulate by
   // a retransmission timeout — drop all ACKs briefly.
-  EXPECT_EQ(pipe.server_rx_, data);
+  EXPECT_EQ(pipe.server_rx, data);
 }
 
 TEST(Tcp, SimultaneousClose) {
   TcpPipe pipe;
   pipe.Create();
-  pipe.Handshake();
-  pipe.client_host_.Submit(sim::Priority::kKernel, [&] { pipe.client_->Close(); });
-  pipe.server_host_.Submit(sim::Priority::kKernel, [&] { pipe.server_->Close(); });
-  pipe.sim_.RunFor(sim::Duration::Seconds(80));
-  EXPECT_EQ(pipe.client_->state(), State::kClosed);
-  EXPECT_EQ(pipe.server_->state(), State::kClosed);
+  ASSERT_TRUE(pipe.Handshake());
+  pipe.client_host.Submit(sim::Priority::kKernel, [&] { pipe.client->Close(); });
+  pipe.server_host.Submit(sim::Priority::kKernel, [&] { pipe.server->Close(); });
+  pipe.sim.RunFor(sim::Duration::Seconds(80));
+  EXPECT_EQ(pipe.client->state(), State::kClosed);
+  EXPECT_EQ(pipe.server->state(), State::kClosed);
 }
 
 TEST(Tcp, RttEstimationAdjustsRto) {
-  TcpPipe pipe;
-  pipe.delay_ = sim::Duration::Millis(40);  // 80ms RTT
+  TcpPipe pipe({.delay = sim::Duration::Millis(40)});  // 80ms RTT
   pipe.Create();
-  pipe.Handshake();
+  ASSERT_TRUE(pipe.Handshake());
   pipe.ClientSend("measure me");
-  pipe.sim_.RunFor(sim::Duration::Seconds(2));
+  pipe.sim.RunFor(sim::Duration::Seconds(2));
   // RTO should have adapted to roughly RTT + 4*var, well below the 1s
   // initial value but >= the 200ms floor.
-  EXPECT_LT(pipe.client_->current_rto(), sim::Duration::Millis(1000));
-  EXPECT_GE(pipe.client_->current_rto(), sim::Duration::Millis(200));
+  EXPECT_LT(pipe.client->current_rto(), sim::Duration::Millis(1000));
+  EXPECT_GE(pipe.client->current_rto(), sim::Duration::Millis(200));
 }
 
 TEST(Tcp, CongestionWindowGrowsDuringSlowStart) {
@@ -409,13 +293,13 @@ TEST(Tcp, CongestionWindowGrowsDuringSlowStart) {
   TcpConfig cfg;
   cfg.initial_cwnd_segments = 1;
   pipe.Create(cfg, TcpConfig{});
-  pipe.Handshake();
-  const auto initial_cwnd = pipe.client_->cwnd();
+  ASSERT_TRUE(pipe.Handshake());
+  const auto initial_cwnd = pipe.client->cwnd();
   std::vector<std::byte> data(64 * 1024);
-  pipe.ClientSendBytes(data);
-  pipe.sim_.RunFor(sim::Duration::Seconds(10));
-  EXPECT_GT(pipe.client_->cwnd(), initial_cwnd);
-  EXPECT_EQ(pipe.server_rx_.size(), data.size());
+  pipe.ClientSend(data);
+  pipe.sim.RunFor(sim::Duration::Seconds(10));
+  EXPECT_GT(pipe.client->cwnd(), initial_cwnd);
+  EXPECT_EQ(pipe.server_rx.size(), data.size());
 }
 
 TEST(Tcp, TimeoutCollapsesCongestionWindow) {
@@ -423,44 +307,44 @@ TEST(Tcp, TimeoutCollapsesCongestionWindow) {
   TcpConfig cfg;
   cfg.initial_cwnd_segments = 8;
   pipe.Create(cfg, TcpConfig{});
-  pipe.Handshake();
+  ASSERT_TRUE(pipe.Handshake());
   // Black-hole everything from the client after the handshake for a while.
   bool blackhole = true;
-  pipe.filter_ = [&blackhole](const TcpPipe::SegmentInfo&, bool from_client) {
-    return !(from_client && blackhole);
+  pipe.tap = [&blackhole](TcpPipe::Segment& info) {
+    return !(info.from_client && blackhole);
   };
   std::vector<std::byte> data(20 * 1024);
-  pipe.ClientSendBytes(data);
-  pipe.sim_.RunFor(sim::Duration::Seconds(3));
-  EXPECT_GT(pipe.client_->stats().timeouts, 0u);
-  EXPECT_LE(pipe.client_->cwnd(), 2 * pipe.client_->effective_mss());
+  pipe.ClientSend(data);
+  pipe.sim.RunFor(sim::Duration::Seconds(3));
+  EXPECT_GT(pipe.client->stats().timeouts, 0u);
+  EXPECT_LE(pipe.client->cwnd(), 2 * pipe.client->effective_mss());
   // Heal the path; everything still arrives.
   blackhole = false;
-  pipe.sim_.RunFor(sim::Duration::Seconds(120));
-  EXPECT_EQ(pipe.server_rx_.size(), data.size());
+  pipe.sim.RunFor(sim::Duration::Seconds(120));
+  EXPECT_EQ(pipe.server_rx.size(), data.size());
 }
 
 TEST(Tcp, SendAfterCloseRejected) {
   TcpPipe pipe;
   pipe.Create();
-  pipe.Handshake();
-  pipe.client_host_.Submit(sim::Priority::kKernel, [&] {
-    pipe.client_->Close();
-    EXPECT_EQ(pipe.client_->SendString("too late"), 0u);
+  ASSERT_TRUE(pipe.Handshake());
+  pipe.client_host.Submit(sim::Priority::kKernel, [&] {
+    pipe.client->Close();
+    EXPECT_EQ(pipe.client->SendString("too late"), 0u);
   });
-  pipe.sim_.RunFor(sim::Duration::Seconds(1));
+  pipe.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_TRUE(pipe.ServerReceivedString().empty());
 }
 
 TEST(Tcp, AbortSendsRstToPeer) {
   TcpPipe pipe;
   pipe.Create();
-  pipe.Handshake();
-  pipe.client_host_.Submit(sim::Priority::kKernel, [&] { pipe.client_->Abort(); });
-  pipe.sim_.RunFor(sim::Duration::Seconds(1));
-  EXPECT_TRUE(pipe.server_reset_);
-  EXPECT_EQ(pipe.server_->state(), State::kClosed);
-  EXPECT_EQ(pipe.client_->state(), State::kClosed);
+  ASSERT_TRUE(pipe.Handshake());
+  pipe.client_host.Submit(sim::Priority::kKernel, [&] { pipe.client->Abort(); });
+  pipe.sim.RunFor(sim::Duration::Seconds(1));
+  EXPECT_TRUE(pipe.server_reset);
+  EXPECT_EQ(pipe.server->state(), State::kClosed);
+  EXPECT_EQ(pipe.client->state(), State::kClosed);
 }
 
 TEST(Tcp, SendBufferBoundsAcceptedBytes) {
@@ -468,14 +352,14 @@ TEST(Tcp, SendBufferBoundsAcceptedBytes) {
   TcpConfig cfg;
   cfg.send_buffer = 8 * 1024;
   pipe.Create(cfg, TcpConfig{});
-  pipe.Handshake();
-  pipe.client_host_.Submit(sim::Priority::kKernel, [&] {
+  ASSERT_TRUE(pipe.Handshake());
+  pipe.client_host.Submit(sim::Priority::kKernel, [&] {
     std::vector<std::byte> big(32 * 1024);
-    const std::size_t accepted = pipe.client_->Send(big);
+    const std::size_t accepted = pipe.client->Send(big);
     EXPECT_LE(accepted, 8 * 1024u);
     EXPECT_GT(accepted, 0u);
   });
-  pipe.sim_.RunFor(sim::Duration::Seconds(1));
+  pipe.sim.RunFor(sim::Duration::Seconds(1));
 }
 
 // Property-style sweep: random loss rates still deliver the exact stream.
@@ -487,11 +371,11 @@ TEST_P(TcpLossSweepTest, ExactDeliveryUnderRandomLoss) {
   TcpConfig cfg;
   cfg.delayed_ack_enabled = true;
   pipe.Create(cfg, cfg);
-  pipe.Handshake();
+  ASSERT_TRUE(pipe.Handshake());
 
   sim::Random rng(static_cast<std::uint64_t>(seed) * 31 + 7);
   const double loss = 0.02 + 0.02 * (seed % 5);  // 2%..10%
-  pipe.filter_ = [&rng, loss](const TcpPipe::SegmentInfo&, bool) {
+  pipe.tap = [&rng, loss](TcpPipe::Segment&) {
     return !rng.Bernoulli(loss);
   };
 
@@ -501,15 +385,15 @@ TEST_P(TcpLossSweepTest, ExactDeliveryUnderRandomLoss) {
   }
   std::size_t offset = 0;
   std::function<void()> feed = [&] {
-    pipe.client_host_.Submit(sim::Priority::kKernel, [&] {
-      offset += pipe.client_->Send(std::span<const std::byte>(data).subspan(offset));
-      if (offset < data.size()) pipe.sim_.Schedule(sim::Duration::Millis(100), feed);
+    pipe.client_host.Submit(sim::Priority::kKernel, [&] {
+      offset += pipe.client->Send(std::span<const std::byte>(data).subspan(offset));
+      if (offset < data.size()) pipe.sim.Schedule(sim::Duration::Millis(100), feed);
     });
   };
   feed();
-  pipe.sim_.RunFor(sim::Duration::Seconds(300));
-  ASSERT_EQ(pipe.server_rx_.size(), data.size()) << "loss=" << loss;
-  EXPECT_EQ(pipe.server_rx_, data);
+  pipe.sim.RunFor(sim::Duration::Seconds(300));
+  ASSERT_EQ(pipe.server_rx.size(), data.size()) << "loss=" << loss;
+  EXPECT_EQ(pipe.server_rx, data);
 }
 
 INSTANTIATE_TEST_SUITE_P(LossRates, TcpLossSweepTest, ::testing::Range(0, 10));

@@ -14,6 +14,7 @@
 #include "core/plexus.h"
 #include "drivers/device_profile.h"
 #include "drivers/medium.h"
+#include "net_harness.h"
 #include "sim/cost_model.h"
 #include "sim/profiler.h"
 #include "sim/simulator.h"
@@ -179,11 +180,6 @@ TEST(BenchReporter, RecordsSectionIsDeterministic) {
 
 // --- flight recorder -------------------------------------------------------------
 
-core::PlexusHost::NetConfig Net(int id) {
-  return {net::MacAddress::FromId(static_cast<std::uint32_t>(id)),
-          net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(id)), 24};
-}
-
 // Structural well-formedness without a JSON parser: braces and brackets
 // balance outside string literals, and strings close.
 void ExpectBalancedJson(const std::string& json) {
@@ -214,17 +210,10 @@ void ExpectBalancedJson(const std::string& json) {
 // taken mid-flight while the connection is established and in-flight data
 // exists. Fresh simulator per call; same seeds every call.
 std::string RunAndSnapshot() {
-  sim::Simulator sim;
+  harness::Lan lan;
+  sim::Simulator& sim = lan.sim;
   sim.tracer().SetEnabled(true);
-  drivers::EthernetSegment segment(sim);
-  const auto profile = drivers::DeviceProfile::Ethernet10();
-  const auto costs = sim::CostModel::Default1996();
-  core::PlexusHost a(sim, "a", costs, profile, Net(1));
-  core::PlexusHost b(sim, "b", costs, profile, Net(2));
-  a.AttachTo(segment);
-  b.AttachTo(segment);
-  a.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
-  b.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  auto &a = lan.AddPlexus(1, "a"), &b = lan.AddPlexus(2, "b");
 
   std::vector<std::shared_ptr<core::PlexusTcpEndpoint>> accepted;
   b.tcp().Listen(80, [&](std::shared_ptr<core::PlexusTcpEndpoint> ep) {
@@ -270,9 +259,8 @@ TEST(FlightRecorder, SameSeedSnapshotsAreByteIdentical) {
 }
 
 TEST(FlightRecorder, HostNamesAreEscapedIntoValidJson) {
-  sim::Simulator sim;
-  core::PlexusHost h(sim, "we\"ird\\name", sim::CostModel::Default1996(),
-                     drivers::DeviceProfile::Ethernet10(), Net(1));
+  harness::Lan lan;
+  auto& h = lan.AddPlexus(1, "we\"ird\\name");
   const std::string snap = h.SnapshotTelemetry();
   EXPECT_NE(snap.find("\"host\":\"we\\\"ird\\\\name\""), std::string::npos)
       << snap;
