@@ -3,19 +3,19 @@
 checked-in baseline.
 
 Records are matched by (experiment, device, system, metric). For each pair the
-`measured` value is compared under a per-metric tolerance band:
+`measured` value is compared:
 
-  * deterministic metrics (simulated time / virtual CPU: unit mentions
-    "sim", "us", "Mb/s", ...) get a tight both-sided relative band
-    (default 5%) — these come off the virtual clock and only move when
-    the engine's behaviour changes;
-  * wall-clock metrics (unit mentions "wall") are REPORT-ONLY: they vary
-    with host load, so drift is printed but never fails the check.
+  * deterministic metrics (everything off the virtual clock: "us", "Mb/s",
+    "sim_ns/conn", ...) must match the baseline exactly — the simulation is
+    deterministic to the nanosecond, so any move means the engine's
+    behaviour changed;
+  * wall-clock metrics (unit or metric mentions "wall") are REPORT-ONLY:
+    they vary with host load, so drift is printed but never fails the check.
 
-Exit status: 0 when every deterministic metric is inside its band, 1 on
-any regression/improvement outside the band or a record present in the
-baseline but missing from the fresh run (new records in the fresh run are
-reported but allowed — the suite grows).
+Exit status: 0 when every deterministic metric is identical, 1 on any
+difference or a record present in the baseline but missing from the fresh
+run (new records in the fresh run are reported but allowed — the suite
+grows).
 
 `--self-test` proves the checker can actually fail: it re-reads the
 baseline, injects a +25% regression into every deterministic metric, and
@@ -57,14 +57,8 @@ def relative_delta(baseline, fresh):
     return (fresh - baseline) / abs(baseline)
 
 
-def compare(baseline, fresh, tolerance, exact_unit=None):
-    """Returns (failures, lines): failure count and the full report.
-
-    exact_unit: when set, any deterministic record whose unit contains this
-    substring must match the baseline bit-for-bit (tolerance zero). Used to
-    hard-gate virtual-time identity: scale records in sim_ns must not move
-    at all, because the simulation is deterministic to the nanosecond.
-    """
+def compare(baseline, fresh):
+    """Returns (failures, lines): failure count and the full report."""
     failures = 0
     lines = []
     for key in sorted(baseline):
@@ -74,35 +68,24 @@ def compare(baseline, fresh, tolerance, exact_unit=None):
             lines.append(f"FAIL {label}: present in baseline, missing from "
                          f"fresh run")
             continue
-        b = baseline[key]
-        f = fresh[key]
-        delta = relative_delta(b.get("measured", 0.0), f.get("measured", 0.0))
-        pct = f"{delta * 100.0:+.2f}%"
-        exact = (exact_unit is not None and not is_wall_clock(b)
-                 and exact_unit in b.get("unit", ""))
-        if is_wall_clock(b):
+        b = baseline[key].get("measured")
+        f = fresh[key].get("measured")
+        if is_wall_clock(baseline[key]):
+            pct = f"{relative_delta(b or 0.0, f or 0.0) * 100.0:+.2f}%"
             lines.append(f"  ok {label}: {pct} (wall-clock, report-only)")
-        elif exact:
-            if b.get("measured") == f.get("measured"):
-                lines.append(f"  ok {label}: identical (exact gate)")
-            else:
-                failures += 1
-                lines.append(f"FAIL {label}: {b.get('measured')} -> "
-                             f"{f.get('measured')} (exact gate: virtual time "
-                             f"must be bit-identical)")
-        elif abs(delta) <= tolerance:
-            lines.append(f"  ok {label}: {pct} (within ±{tolerance:.0%})")
+        elif b == f:
+            lines.append(f"  ok {label}: identical")
         else:
             failures += 1
-            lines.append(f"FAIL {label}: {b.get('measured')} -> "
-                         f"{f.get('measured')} ({pct}, band ±{tolerance:.0%})")
+            lines.append(f"FAIL {label}: {b} -> {f} (virtual time must be "
+                         f"bit-identical)")
     for key in sorted(set(fresh) - set(baseline)):
         label = "/".join(part for part in key if part)
         lines.append(f" new {label}: not in baseline (allowed)")
     return failures, lines
 
 
-def self_test(baseline, tolerance):
+def self_test(baseline):
     doctored = {}
     injected = 0
     for key, rec in baseline.items():
@@ -115,7 +98,7 @@ def self_test(baseline, tolerance):
         print("self-test FAIL: baseline has no deterministic records to "
               "doctor")
         return 1
-    failures, _ = compare(baseline, doctored, tolerance)
+    failures, _ = compare(baseline, doctored)
     if failures == injected:
         print(f"self-test PASS: +25% injection rejected on all {injected} "
               f"deterministic metrics")
@@ -131,13 +114,6 @@ def main():
     parser.add_argument("fresh", nargs="?",
                         help="freshly produced JSON to check (omit with "
                              "--self-test)")
-    parser.add_argument("--tolerance", type=float, default=0.05,
-                        help="both-sided relative band for deterministic "
-                             "metrics (default 0.05 = 5%%)")
-    parser.add_argument("--exact-unit", default=None,
-                        help="deterministic records whose unit contains this "
-                             "substring must match the baseline exactly "
-                             "(e.g. sim_ns for virtual-time identity)")
     parser.add_argument("--self-test", action="store_true",
                         help="inject a +25%% regression into the baseline and "
                              "require the comparison to reject it")
@@ -145,18 +121,18 @@ def main():
 
     baseline = load_records(args.baseline)
     if args.self_test:
-        return self_test(baseline, args.tolerance)
+        return self_test(baseline)
     if args.fresh is None:
         parser.error("fresh JSON required unless --self-test")
 
     fresh = load_records(args.fresh)
-    failures, lines = compare(baseline, fresh, args.tolerance, args.exact_unit)
+    failures, lines = compare(baseline, fresh)
     print(f"bench_compare: {args.fresh} vs baseline {args.baseline} "
-          f"(±{args.tolerance:.0%} on deterministic metrics)")
+          f"(deterministic metrics exact, wall-clock report-only)")
     for line in lines:
         print(line)
     if failures:
-        print(f"bench_compare: FAIL ({failures} metric(s) outside the band)")
+        print(f"bench_compare: FAIL ({failures} metric(s) differ)")
         return 1
     print(f"bench_compare: PASS ({len(baseline)} baseline metric(s) checked)")
     return 0

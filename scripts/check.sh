@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # First lints that perfbench refuses every env gate src/ reads. Then builds
 # the suite under AddressSanitizer + UndefinedBehaviorSanitizer and
-# runs every tier-1 test seven times: plain, with PLEXUS_TRACE=1 (tracer
-# recording), with PLEXUS_MBUF_POOL=small (starved 256-segment mbuf pool),
-# with PLEXUS_CHAOS_FLAP=1 (mid-run link flap), with PLEXUS_PROFILE=1
-# (wall-clock engine profiler armed), with PLEXUS_SLAB=off (slab
-# allocators degraded to plain operator new/delete), and with
-# PLEXUS_BATCH=off (rx bursts, batch dispatch, and GRO/GSO all disabled —
-# the engine must degrade to the per-packet path byte-identically). Catches the memory
+# runs every tier-1 test six times: plain, with PLEXUS_TRACE=1 and
+# PLEXUS_PROFILE=1 together (tracer recording and wall-clock engine
+# profiler armed: both pure observers), with PLEXUS_MBUF_POOL=small
+# (starved 256-segment mbuf pool), with PLEXUS_CHAOS_FLAP=1 (mid-run link
+# flap), with PLEXUS_SLAB=off (slab allocators degraded to plain operator
+# new/delete), and with PLEXUS_BATCH=off (rx bursts, batch dispatch, and
+# GRO/GSO all disabled — the engine must degrade to the per-packet path
+# byte-identically). Catches the memory
 # bugs the fault-containment, tracing, overload-control, observability,
 # and allocation machinery must never introduce (use-after-free across
 # handler quarantine, fence lifetime mistakes during stack unwinding,
@@ -43,8 +44,12 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"
 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure "$@"
 
-echo "=== second pass: tracer enabled (PLEXUS_TRACE=1) ==="
-PLEXUS_TRACE=1 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure "$@"
+echo "=== second pass: observers armed (PLEXUS_TRACE=1 PLEXUS_PROFILE=1) ==="
+# The tracer and the wall-clock engine self-profiler record on every hot
+# path. Both are pure observers with one contract — no effect on virtual
+# time, none on memory safety — so one pass arms them together, as
+# perfbench's traced phase does.
+PLEXUS_TRACE=1 PLEXUS_PROFILE=1 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure "$@"
 
 echo "=== third pass: starved mbuf pool (PLEXUS_MBUF_POOL=small) ==="
 # 256-segment pools force the exhaustion paths (rx refill failures, tx
@@ -58,18 +63,13 @@ echo "=== fourth pass: mid-run link flap (PLEXUS_CHAOS_FLAP=1) ==="
 # ARP retry, and carrier-notification paths), still under the sanitizers.
 PLEXUS_CHAOS_FLAP=1 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure "$@"
 
-echo "=== fifth pass: wall-clock profiler armed (PLEXUS_PROFILE=1) ==="
-# The engine self-profiler records host time on every hot path; it must not
-# perturb virtual time or memory-safety anywhere in the tier-1 suite.
-PLEXUS_PROFILE=1 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure "$@"
-
-echo "=== sixth pass: slab allocators disabled (PLEXUS_SLAB=off) ==="
+echo "=== fifth pass: slab allocators disabled (PLEXUS_SLAB=off) ==="
 # Every pooled allocation degrades to plain operator new/delete (accounting
 # intact): behaviour and virtual time must be identical with and without
 # the slabs, and the heap path gets full sanitizer coverage.
 PLEXUS_SLAB=off ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure "$@"
 
-echo "=== seventh pass: batched packet path disabled (PLEXUS_BATCH=off) ==="
+echo "=== sixth pass: batched packet path disabled (PLEXUS_BATCH=off) ==="
 # The off-gate identity: with batching off the NIC delivers one frame per
 # interrupt, so no batch scope opens, no RaiseBatch runs, and GRO/GSO never
 # engage. The whole tier-1 suite must behave exactly as the per-packet
@@ -133,10 +133,8 @@ trap 'rm -rf "$BENCH_TMP"' EXIT
 # proof that the off-gate really restores it).
 PLEXUS_BATCH=off "$PERF_BUILD_DIR/bench/bench_fig5_udp_latency" --json "$BENCH_TMP/BENCH_fig5.json"
 PLEXUS_BATCH=off "$PERF_BUILD_DIR/bench/bench_tab1_tcp_throughput" --json "$BENCH_TMP/BENCH_tab1.json"
-python3 scripts/bench_compare.py bench/baselines/BENCH_fig5.json "$BENCH_TMP/BENCH_fig5.json" \
-  --exact-unit us
-python3 scripts/bench_compare.py bench/baselines/BENCH_tab1.json "$BENCH_TMP/BENCH_tab1.json" \
-  --exact-unit "Mb/s"
+python3 scripts/bench_compare.py bench/baselines/BENCH_fig5.json "$BENCH_TMP/BENCH_fig5.json"
+python3 scripts/bench_compare.py bench/baselines/BENCH_tab1.json "$BENCH_TMP/BENCH_tab1.json"
 python3 scripts/bench_compare.py bench/baselines/BENCH_fig5.json --self-test
 
 echo "=== scale gate: virtual-time identity at 100..100k connections ==="
@@ -147,7 +145,7 @@ echo "=== scale gate: virtual-time identity at 100..100k connections ==="
 PLEXUS_BATCH=off "$PERF_BUILD_DIR/bench/bench_scale_connections" \
   --sizes 100,1000,10000,100000 --json "$BENCH_TMP/BENCH_scale.json"
 python3 scripts/bench_compare.py bench/baselines/BENCH_scale.json \
-  "$BENCH_TMP/BENCH_scale.json" --exact-unit sim_ns
+  "$BENCH_TMP/BENCH_scale.json"
 
 echo "=== virtual-time gate: default-engine perfbench digests vs committed baselines ==="
 # The gates above pin PLEXUS_BATCH=off; this one pins the engine users run.

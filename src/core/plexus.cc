@@ -312,7 +312,7 @@ TcpManager::TcpManager(PlexusHost& plexus, proto::TcpConfig config)
         demux_.Input(std::move(merged), src, dst);
       });
   auto standard_handler = [this](const net::Mbuf& segment, const net::Ipv4Header& ip_hdr) {
-    if (gro_enabled_ && plexus_.batch_active()) {
+    if (plexus_.batch_active()) {
       gro_->Push(segment.ShareClone(), ip_hdr.src, ip_hdr.dst);
       return;
     }

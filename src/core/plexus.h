@@ -349,12 +349,9 @@ class TcpManager {
   void set_config(const proto::TcpConfig& c) { config_ = c; }
 
   // The receive coalescer at the demux edge. Active only inside a batch
-  // scope, which only a NIC rx burst opens; set_gro_enabled(false) bypasses
-  // it (the burst still coalesces its hops, segments just reach the demux
-  // one by one).
+  // scope, which only a NIC rx burst opens; the TCP edge flushes it at the
+  // end of every burst.
   proto::GroEngine& gro() { return *gro_; }
-  void set_gro_enabled(bool v) { gro_enabled_ = v; }
-  bool gro_enabled() const { return gro_enabled_; }
 
   // Every wired endpoint still attached (not crashed away, not expired):
   // the per-flow table the flight recorder snapshots.
@@ -380,7 +377,6 @@ class TcpManager {
   TcpRecvEvent packet_recv_;
   GraphEdge<net::Ipv4Header> edge_;  // Ip.PacketRecv -> packet_recv_
   std::unique_ptr<proto::GroEngine> gro_;
-  bool gro_enabled_ = true;
   std::map<std::uint16_t, Acceptor> acceptors_;
   std::vector<std::shared_ptr<PlexusTcpEndpoint>> accepted_;  // keep-alive
   std::vector<std::weak_ptr<PlexusTcpEndpoint>> wired_;  // for crash teardown

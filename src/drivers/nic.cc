@@ -1,5 +1,6 @@
 #include "drivers/nic.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "net/headers.h"
@@ -170,7 +171,7 @@ void Nic::RxInterrupt() {
     // several arrived at one instant): drain them as one burst. A lone
     // frame takes the per-packet path below — byte-identical to the
     // unbatched engine.
-    DeliverBurst(/*polled=*/false, net::MbufBatch::kCapacity);
+    DeliverBurst(/*polled=*/false, kMaxBurst);
   } else {
     DeliverOne(/*polled=*/false);
   }
@@ -196,7 +197,7 @@ void Nic::DeliverOne(bool polled) {
 }
 
 bool Nic::BurstReady() const {
-  return batch_rx_callback_ && sim::BatchConfig::enabled() && rx_ring_.size() > 1;
+  return burst_begin_ && sim::BatchConfig::enabled() && rx_ring_.size() > 1;
 }
 
 void Nic::DeliverBurst(bool polled, std::size_t max_frames) {
@@ -209,22 +210,27 @@ void Nic::DeliverBurst(bool polled, std::size_t max_frames) {
   if (!polled) host_.Charge(cm.interrupt_entry);
   sim::TraceSpan span(host_, polled ? "nic.rx.poll_burst" : "nic.rx.burst",
                       "driver");
-  net::MbufBatch batch;
-  while (batch.size() < max_frames && !batch.full() && !rx_ring_.empty()) {
+  // Descriptor handling stays per-frame; only entry/exit are amortized
+  // across the burst.
+  const std::size_t frames = std::min(max_frames, rx_ring_.size());
+  for (std::size_t i = 0; i < frames; ++i) {
+    net::Mbuf& buf = *rx_ring_[i];
+    if (host_.tracing() && buf.pkthdr().trace_id == 0) {
+      buf.pkthdr().trace_id = host_.tracer().NextTraceId();
+    }
+    host_.Charge(profile_.RxCpuCost(buf.PacketLength()));
+  }
+  rx_bursts_->Inc();
+  rx_burst_frames_->Inc(frames);
+  burst_begin_();
+  for (std::size_t i = 0; i < frames; ++i) {
     net::MbufPtr buf = std::move(rx_ring_.front());
     rx_ring_.pop_front();
-    if (host_.tracing() && buf->pkthdr().trace_id == 0) {
-      buf->pkthdr().trace_id = host_.tracer().NextTraceId();
-    }
-    // Descriptor handling stays per-frame; only entry/exit and the upcall
-    // are amortized across the burst.
-    host_.Charge(profile_.RxCpuCost(buf->PacketLength()));
-    batch.PushBack(std::move(buf));
+    sim::PacketTraceScope packet_scope(host_, buf->pkthdr().trace_id);
+    if (rx_callback_) rx_callback_(std::move(buf));
   }
+  burst_end_();
   rx_ring_gauge_.Set(static_cast<std::int64_t>(rx_ring_.size()));
-  rx_bursts_->Inc();
-  rx_burst_frames_->Inc(batch.size());
-  batch_rx_callback_(std::move(batch));
   if (!polled) host_.Charge(cm.interrupt_exit);
 }
 

@@ -14,7 +14,9 @@
 // interrupt-priority task that charges interrupt + driver receive costs and
 // invokes the receive callback, "the bottom of the Plexus protocol graph"
 // (paper Section 3.3). A full ring or an exhausted pool drops the frame at
-// the wire, consuming no CPU.
+// the wire, consuming no CPU. When several frames wait and the owner has set
+// burst hooks, one interrupt drains them as a burst: the hooks bracket the
+// same per-frame callback.
 //
 // Livelock avoidance: the architecture above is exactly the one that
 // collapses under receive livelock — at saturation the CPU spends all its
@@ -27,6 +29,7 @@
 #ifndef PLEXUS_DRIVERS_NIC_H_
 #define PLEXUS_DRIVERS_NIC_H_
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -37,7 +40,6 @@
 #include "drivers/medium.h"
 #include "net/address.h"
 #include "net/mbuf.h"
-#include "net/mbuf_batch.h"
 #include "sim/host.h"
 
 namespace drivers {
@@ -58,14 +60,18 @@ class Nic {
   };
 
   // The receive callback runs inside the interrupt-priority CPU task (or
-  // the task-priority polling loop when the driver is in polled mode).
+  // the task-priority polling loop when the driver is in polled mode). It
+  // is the one receive path: a frame in a burst arrives through it exactly
+  // as a lone frame does.
   using ReceiveCallback = std::function<void(net::MbufPtr)>;
-  // Batched variant: one rx service pass drains the ring into an MbufBatch
-  // (the NAPI shape) and hands the whole burst up in one callback. Only
-  // used when set, batching is enabled, and more than one frame waits —
-  // a burst of one takes the per-packet path, so lightly loaded runs are
-  // byte-identical to the unbatched engine.
-  using BatchReceiveCallback = std::function<void(net::MbufBatch)>;
+  // Brackets an rx burst (the NAPI shape): one rx service pass that finds
+  // several frames waiting runs begin, then the receive callback once per
+  // frame in arrival order, then end. Bursts form only on a NIC whose
+  // hooks are set, with batching enabled and more than one frame waiting —
+  // a burst of one takes the per-frame path, so lightly loaded runs are
+  // byte-identical to the unbatched engine, and a raw NIC without hooks
+  // stays per-frame.
+  using BurstHook = std::function<void()>;
 
   Nic(sim::Host& host, DeviceProfile profile, net::MacAddress mac);
   Nic(const Nic&) = delete;
@@ -87,8 +93,11 @@ class Nic {
   std::size_t rx_ring_size() const { return rx_ring_.size(); }
 
   void SetReceiveCallback(ReceiveCallback cb) { rx_callback_ = std::move(cb); }
-  void SetBatchReceiveCallback(BatchReceiveCallback cb) {
-    batch_rx_callback_ = std::move(cb);
+  // Both or neither: no-op hooks form bursts without bracketing anything.
+  void SetBurstHooks(BurstHook begin, BurstHook end) {
+    assert(static_cast<bool>(begin) == static_cast<bool>(end));
+    burst_begin_ = std::move(begin);
+    burst_end_ = std::move(end);
   }
 
   // Medium notification on a carrier edge: counted, traced, and mirrored in
@@ -135,6 +144,10 @@ class Nic {
   const std::string& metrics_prefix() const { return metrics_prefix_; }
 
  private:
+  // Upper bound on frames per interrupt-path burst; a poll pass is bounded
+  // by the device's poll quota instead.
+  static constexpr std::size_t kMaxBurst = 64;
+
   // The interrupt-priority rx service routine: pops one frame off the ring,
   // charges driver costs, runs the callback, and updates the livelock
   // window. A no-op if the ring is empty or interrupts have been masked
@@ -144,13 +157,13 @@ class Nic {
   // skips interrupt entry/exit — that is the entire point of the switch.
   void DeliverOne(bool polled);
   // Whether this rx service pass drains a burst instead of one frame: the
-  // batch callback is set, batching is on, and more than one frame waits.
+  // burst hooks are set, batching is on, and more than one frame waits.
   // The one place the batch gate decides where bursts form.
   bool BurstReady() const;
-  // Drains up to max_frames off the ring into one MbufBatch and hands it
-  // to the batch callback: interrupt entry/exit and the upcall are paid
-  // once for the whole burst, per-frame work (descriptor pop + driver rx
-  // cost) stays per-frame.
+  // Delivers up to max_frames off the ring as one bracketed burst:
+  // interrupt entry/exit are paid once for the whole burst, per-frame work
+  // (descriptor pop + driver rx cost) stays per-frame. Every frame's driver
+  // cost is charged and its trace id assigned before the first upcall.
   void DeliverBurst(bool polled, std::size_t max_frames);
   // Sliding-window accounting of interrupt-level rx work; trips the
   // interrupt->poll transition past the profile's threshold.
@@ -163,7 +176,8 @@ class Nic {
   net::MacAddress mac_;
   Medium* medium_ = nullptr;
   ReceiveCallback rx_callback_;
-  BatchReceiveCallback batch_rx_callback_;
+  BurstHook burst_begin_;
+  BurstHook burst_end_;
   std::string metrics_prefix_;
   sim::Counter& tx_frames_;
   sim::Counter& tx_bytes_;

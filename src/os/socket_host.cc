@@ -15,7 +15,7 @@ SocketHost::SocketHost(sim::Simulator& s, std::string name, sim::CostModel costs
   // them) — a monolithic kernel amortizes interrupts the same way, so the
   // comparison stays controlled at the driver edge. Everything above it
   // (hard-wired demux, wakeup, context switch, copyout) remains strictly
-  // per-packet, so no burst hooks are installed.
+  // per-packet, so the burst hooks are no-ops: they only let bursts form.
   SetFrameHandlers(
       [this](net::MbufPtr frame, const net::EthernetHeader& hdr) {
         const int if_index = IfIndexForRcvif(frame->pkthdr().rcvif);
@@ -31,7 +31,7 @@ SocketHost::SocketHost(sim::Simulator& s, std::string name, sim::CostModel costs
             break;  // monolithic kernel: unknown types are silently dropped
         }
       },
-      nullptr, nullptr);
+      [] {}, [] {});
 
   ip_layer().SetDeliver([this](net::MbufPtr payload, const net::Ipv4Header& hdr) {
     switch (hdr.protocol) {

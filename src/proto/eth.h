@@ -15,7 +15,6 @@
 #include "drivers/nic.h"
 #include "net/headers.h"
 #include "net/mbuf.h"
-#include "net/mbuf_batch.h"
 #include "net/mbuf_pool.h"
 #include "net/view.h"
 #include "sim/host.h"
@@ -25,18 +24,13 @@ namespace proto {
 class EthLayer {
  public:
   // Invoked (inside the receive task) with the full frame; the header has
-  // already been parsed for convenience but not stripped.
+  // already been parsed for convenience but not stripped. A frame of an rx
+  // burst arrives here exactly like a lone one; the NIC's burst hooks
+  // (drivers::Nic::SetBurstHooks) bracket the burst.
   using Upcall = std::function<void(net::MbufPtr frame, const net::EthernetHeader& hdr)>;
-  // Bracket an rx burst delivered through the batch callback: begin fires
-  // before the first frame's Input, end after the last. The protocol graph
-  // uses them to open/close a batch scope in which per-frame hops coalesce
-  // into one deferred-queue hop.
-  using BatchHook = std::function<void()>;
 
   EthLayer(sim::Host& host, drivers::Nic& nic) : host_(host), nic_(nic) {
     nic_.SetReceiveCallback([this](net::MbufPtr frame) { Input(std::move(frame)); });
-    nic_.SetBatchReceiveCallback(
-        [this](net::MbufBatch batch) { InputBatch(std::move(batch)); });
   }
 
   net::MacAddress mac() const { return nic_.mac(); }
@@ -44,10 +38,6 @@ class EthLayer {
   std::size_t mtu() const { return nic_.profile().mtu; }
 
   void SetUpcall(Upcall up) { upcall_ = std::move(up); }
-  void SetBatchHooks(BatchHook begin, BatchHook end) {
-    batch_begin_ = std::move(begin);
-    batch_end_ = std::move(end);
-  }
 
   // Frames `payload` and transmits. Must run inside a CPU task.
   void Output(net::MbufPtr payload, net::MacAddress dst, std::uint16_t ethertype) {
@@ -71,19 +61,6 @@ class EthLayer {
   }
 
  private:
-  // One rx burst: per-frame framing work (eth_input charge, header parse,
-  // upcall) is unchanged and runs in arrival order; only the bracketing
-  // hooks differ from N single Inputs.
-  void InputBatch(net::MbufBatch batch) {
-    if (batch_begin_) batch_begin_();
-    for (net::MbufPtr& m : batch) {
-      if (m == nullptr) continue;
-      sim::PacketTraceScope scope(host_, m->pkthdr().trace_id);
-      Input(std::move(m));
-    }
-    if (batch_end_) batch_end_();
-  }
-
   void Input(net::MbufPtr frame) {
     sim::TraceSpan span(host_, "eth.input", "eth", frame->pkthdr().trace_id);
     host_.Charge(host_.costs().eth_input);
@@ -105,8 +82,6 @@ class EthLayer {
   sim::Host& host_;
   drivers::Nic& nic_;
   Upcall upcall_;
-  BatchHook batch_begin_;
-  BatchHook batch_end_;
   sim::Counter* malformed_ = nullptr;
 };
 

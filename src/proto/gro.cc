@@ -2,7 +2,6 @@
 
 #include "net/view.h"
 #include "proto/transport_checksum.h"
-#include "sim/simulator.h"
 
 namespace proto {
 
@@ -24,13 +23,6 @@ std::uint16_t VouchedPayloadSum(const net::TcpHeader& hdr, net::Ipv4Address src,
 
 GroEngine::GroEngine(sim::Host& host, Sink sink, Config config)
     : host_(host), sink_(std::move(sink)), config_(config) {}
-
-GroEngine::~GroEngine() {
-  // Power-fail semantics: a held chain is released, not delivered (there
-  // is no task context to deliver in). Normal owners FlushAll() first.
-  host_.simulator().Cancel(timer_);
-  ++timer_gen_;
-}
 
 bool GroEngine::Coalescable(const net::TcpHeader& hdr, std::size_t payload_len) {
   return hdr.flags == net::tcpflag::kAck &&
@@ -76,7 +68,7 @@ void GroEngine::Push(net::MbufPtr segment, net::Ipv4Address src,
   if (!Coalescable(hdr, payload_len)) {
     // Connection-state edges (SYN/FIN/RST/PSH/URG), options, bare ACKs:
     // flush first so the state machine sees everything in arrival order.
-    Flush(/*from_timer=*/false);
+    FlushAll();
     ++stats_.passthrough;
     sink_(std::move(segment), src, dst);
     return;
@@ -103,7 +95,7 @@ void GroEngine::Push(net::MbufPtr segment, net::Ipv4Address src,
     return;
   }
 
-  if (held_ != nullptr) Flush(/*from_timer=*/false);
+  if (held_ != nullptr) FlushAll();
   StartChain(std::move(segment), hdr, src, dst, payload_len, vouched);
 }
 
@@ -118,14 +110,10 @@ void GroEngine::StartChain(net::MbufPtr segment, const net::TcpHeader& hdr,
   held_payload_sum_ = net::InternetChecksum();
   held_payload_sum_.AddU16(vouched);  // offset 0: no swap
   held_count_ = 1;
-  ArmTimer();
 }
 
-void GroEngine::FlushAll() { Flush(/*from_timer=*/false); }
-
-void GroEngine::Flush(bool from_timer) {
+void GroEngine::FlushAll() {
   if (held_ == nullptr) return;
-  DisarmTimer();
   net::MbufPtr chain = std::move(held_);
   held_ = nullptr;
   const std::size_t count = held_count_;
@@ -147,27 +135,7 @@ void GroEngine::Flush(bool from_timer) {
     net::StorePacket(*chain, hdr);
   }
   ++stats_.flushes;
-  if (from_timer) ++stats_.timer_flushes;
   sink_(std::move(chain), held_src_, held_dst_);
-}
-
-void GroEngine::ArmTimer() {
-  if (config_.flush_timeout.is_zero()) return;
-  const std::uint64_t gen = ++timer_gen_;
-  timer_ = host_.simulator().Schedule(config_.flush_timeout, [this, gen] {
-    host_.Submit(sim::Priority::kKernel, [this, gen] {
-      if (gen != timer_gen_) return;  // flushed (or re-armed) since
-      Flush(/*from_timer=*/true);
-    });
-  });
-}
-
-void GroEngine::DisarmTimer() {
-  ++timer_gen_;
-  if (timer_ != sim::kInvalidEventId) {
-    host_.simulator().Cancel(timer_);
-    timer_ = sim::kInvalidEventId;
-  }
 }
 
 }  // namespace proto

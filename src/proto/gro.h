@@ -22,11 +22,10 @@
 // straight through (after the flush, preserving arrival order), coalescable
 // ones start a new chain.
 //
-// A held chain is flushed by the first of: batch end (FlushAll — the
-// normal path: the engine's owner flushes after every RaiseBatch), a
-// non-mergeable segment, or the flush timer armed when the chain starts
-// (so a chain can never be parked past Config::flush_timeout even if no
-// further traffic arrives).
+// A held chain is flushed by the first of two boundaries: a non-mergeable
+// segment, or burst end (FlushAll). The owner feeds the engine only inside
+// a batch scope and flushes it after every RaiseBatch, so no chain outlives
+// the burst that formed it.
 //
 // The merged chain's TCP checksum is derived, not re-scanned: each
 // constituent's own checksum field vouches for the 1s-complement sum of its
@@ -61,7 +60,6 @@ class GroEngine {
  public:
   struct Config {
     std::size_t max_merge = 16;  // wire segments folded into one chain
-    sim::Duration flush_timeout = sim::Duration::Micros(100);
   };
 
   // Receives the (possibly merged) segment exactly as TcpDemux::Input
@@ -73,7 +71,6 @@ class GroEngine {
     std::uint64_t pushed = 0;         // segments offered to the engine
     std::uint64_t merged = 0;         // segments folded into a held chain
     std::uint64_t flushes = 0;        // chains delivered to the sink
-    std::uint64_t timer_flushes = 0;  // ... of which the timer forced
     std::uint64_t passthrough = 0;    // non-coalescable segments forwarded
     std::uint64_t malformed = 0;      // truncated runts dropped at this edge
   };
@@ -82,14 +79,13 @@ class GroEngine {
   GroEngine(sim::Host& host, Sink sink, Config config);
   GroEngine(const GroEngine&) = delete;
   GroEngine& operator=(const GroEngine&) = delete;
-  ~GroEngine();
 
   // Offers one received segment. Either parks/extends the held chain or
   // delivers through the sink (flushing the held chain first whenever
   // ordering demands it).
   void Push(net::MbufPtr segment, net::Ipv4Address src, net::Ipv4Address dst);
 
-  // Batch-end flush: delivers the held chain, if any.
+  // Burst-end flush: delivers the held chain, if any.
   void FlushAll();
 
   bool holding() const { return held_ != nullptr; }
@@ -105,9 +101,6 @@ class GroEngine {
   void StartChain(net::MbufPtr segment, const net::TcpHeader& hdr,
                   net::Ipv4Address src, net::Ipv4Address dst,
                   std::size_t payload_len, std::uint16_t vouched);
-  void Flush(bool from_timer);
-  void ArmTimer();
-  void DisarmTimer();
 
   sim::Host& host_;
   Sink sink_;
@@ -120,12 +113,10 @@ class GroEngine {
   net::Ipv4Address held_dst_;
   std::uint32_t held_next_seq_ = 0;  // seq the next in-order segment must carry
   // Sum of every constituent's vouched payload sum, each byte-swapped when
-  // it starts at an odd offset of the merged payload; Flush derives the
+  // it starts at an odd offset of the merged payload; FlushAll derives the
   // merged checksum from it.
   net::InternetChecksum held_payload_sum_;
   std::size_t held_count_ = 0;       // wire segments in the chain
-  sim::EventId timer_ = sim::kInvalidEventId;
-  std::uint64_t timer_gen_ = 0;  // invalidates in-flight timer tasks
   // Lazily resolved: only hostile runs grow the instrument (keeps
   // fault-free metrics snapshots byte-identical).
   sim::Counter* malformed_ = nullptr;  // proto.gro.malformed_drops

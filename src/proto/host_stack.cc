@@ -22,13 +22,13 @@ void HostStack::AddIface(drivers::DeviceProfile profile, NetConfig cfg) {
   BuildLinkLayer(ifaces_.back());
 }
 
-// Framing (whose constructor hooks the NIC's receive callbacks) and ARP on
+// Framing (whose constructor hooks the NIC's receive callback) and ARP on
 // top of an interface's NIC, attached to the frame handlers.
 void HostStack::BuildLinkLayer(Iface& target) {
   target.eth = std::make_unique<EthLayer>(host_, *target.nic);
   target.arp = std::make_unique<ArpService>(host_, *target.eth, target.cfg.ip);
   target.eth->SetUpcall(upcall_);
-  target.eth->SetBatchHooks(burst_begin_, burst_end_);
+  target.nic->SetBurstHooks(burst_begin_, burst_end_);
 }
 
 // IP (secondary interfaces registered), ICMP and UDP, plus the glue both
@@ -67,14 +67,14 @@ int HostStack::IfIndexForRcvif(int rcvif) const {
   return 0;
 }
 
-void HostStack::SetFrameHandlers(EthLayer::Upcall upcall, EthLayer::BatchHook burst_begin,
-                                 EthLayer::BatchHook burst_end) {
+void HostStack::SetFrameHandlers(EthLayer::Upcall upcall, drivers::Nic::BurstHook burst_begin,
+                                 drivers::Nic::BurstHook burst_end) {
   upcall_ = std::move(upcall);
   burst_begin_ = std::move(burst_begin);
   burst_end_ = std::move(burst_end);
   for (Iface& each : ifaces_) {
     each.eth->SetUpcall(upcall_);
-    each.eth->SetBatchHooks(burst_begin_, burst_end_);
+    each.nic->SetBurstHooks(burst_begin_, burst_end_);
   }
 }
 

@@ -81,9 +81,10 @@ class HostStack {
  protected:
   // Where every interface's received frames go and how its rx bursts are
   // bracketed: the one point where the two systems' demux attaches. Applies
-  // to every interface now, to those AddNic adds, and after a restart.
-  void SetFrameHandlers(EthLayer::Upcall upcall, EthLayer::BatchHook burst_begin,
-                        EthLayer::BatchHook burst_end);
+  // to every interface now, to those AddNic adds, and after a restart. An
+  // interface's NIC forms bursts only because these hooks are set.
+  void SetFrameHandlers(EthLayer::Upcall upcall, drivers::Nic::BurstHook burst_begin,
+                        drivers::Nic::BurstHook burst_end);
   // Interface index of a received frame's NIC (0 if unknown).
   int IfIndexForRcvif(int rcvif) const;
 
@@ -122,8 +123,8 @@ class HostStack {
   std::unique_ptr<IcmpLayer> icmp_;
   std::unique_ptr<UdpLayer> udp_layer_;
   EthLayer::Upcall upcall_;
-  EthLayer::BatchHook burst_begin_;
-  EthLayer::BatchHook burst_end_;
+  drivers::Nic::BurstHook burst_begin_;
+  drivers::Nic::BurstHook burst_end_;
   RoutingTable saved_routes_;  // routing config survives a reboot
   bool saved_forwarding_ = false;
 };

@@ -15,13 +15,13 @@
 //
 // Part B (stack): seeded single-connection TCP transfers through two full
 // PlexusHosts over a faulty wire (loss, duplication, reordering,
-// truncation, one-byte corruption), once with PLEXUS_BATCH off and once
-// per batched variant (GRO on / GRO off, interrupt and thread handler
-// modes). Whatever the fault schedule does to the wire, the server-side
-// byte stream must be exactly the payload in every mode, nothing may be
-// quarantined, and after the drain every mbuf — including in-flight burst
-// containers and parked GRO chains — must be back on its slab. With the
-// gate off no burst forms, so no RaiseBatch runs and GRO never merges.
+// truncation, one-byte corruption), once with PLEXUS_BATCH off — the
+// per-packet reference — and once batched, alternating interrupt and
+// thread handler modes by seed. Whatever the fault schedule does to the
+// wire, the server-side byte stream must be exactly the payload in both
+// modes, nothing may be quarantined, and after the drain every mbuf —
+// parked GRO chains included — must be back on its slab. With the gate
+// off no burst forms, so no RaiseBatch runs and GRO never merges.
 // Off-mode runs are additionally re-run and must be bit-deterministic (same
 // virtual end time, same raise totals): the gate's identity guarantee rests
 // on that determinism.
@@ -266,8 +266,7 @@ struct StackOutcome {
   std::uint64_t batch_raises = 0;
 };
 
-StackOutcome RunTransfer(std::uint64_t seed, bool batched, bool gro,
-                         core::HandlerMode mode) {
+StackOutcome RunTransfer(std::uint64_t seed, bool batched, core::HandlerMode mode) {
   ScopedBatchMode m(batched);
   StackOutcome out;
   {
@@ -277,8 +276,6 @@ StackOutcome RunTransfer(std::uint64_t seed, bool batched, bool gro,
     auto& server = lan.AddPlexus(1, "server", 1, mode);
     auto& client = lan.AddPlexus(2, "client", 2, mode);
     lan.WarmArp();
-    server.tcp().set_gro_enabled(gro);
-    client.tcp().set_gro_enabled(gro);
 
     // Burst former: a two-host 10 Mbps wire delivers one frame per interrupt
     // and the rx ring never holds two frames, so batching would never engage
@@ -334,7 +331,7 @@ StackOutcome RunTransfer(std::uint64_t seed, bool batched, bool gro,
         server.dispatcher().stats().batch_raises + client.dispatcher().stats().batch_raises;
   }
   // Hosts and sim are gone: anything still "in use" on the mbuf slabs —
-  // packet buffers, burst slot blocks, parked GRO chains — is a leak.
+  // packet buffers, parked GRO chains — is a leak.
   out.slab_mbuf_in_use = sim::SlabRegistry::InUse("mbuf");
   return out;
 }
@@ -347,7 +344,7 @@ void RunStackSeed(std::uint64_t seed, std::uint64_t* gro_merges,
   SCOPED_TRACE("seed " + std::to_string(seed) +
                (mode == core::HandlerMode::kThread ? " thread" : " interrupt"));
 
-  const StackOutcome off = RunTransfer(seed, /*batched=*/false, /*gro=*/true, mode);
+  const StackOutcome off = RunTransfer(seed, /*batched=*/false, mode);
   ASSERT_TRUE(off.closed) << "per-packet transfer did not finish";
   ASSERT_EQ(off.received, payload);
   EXPECT_EQ(off.quarantines, 0u);
@@ -358,23 +355,19 @@ void RunStackSeed(std::uint64_t seed, std::uint64_t* gro_merges,
   // Off-mode determinism underwrites the byte-identity gates: a re-run is
   // bit-equal in virtual time and dispatch totals.
   if (seed % 16 == 1) {
-    const StackOutcome off2 = RunTransfer(seed, /*batched=*/false, /*gro=*/true, mode);
+    const StackOutcome off2 = RunTransfer(seed, /*batched=*/false, mode);
     EXPECT_EQ(off2.end_ns, off.end_ns);
     EXPECT_EQ(off2.raises, off.raises);
     EXPECT_EQ(off2.received, off.received);
   }
 
-  for (const bool gro : {true, false}) {
-    const StackOutcome on = RunTransfer(seed, /*batched=*/true, gro, mode);
-    SCOPED_TRACE(gro ? "gro on" : "gro off");
-    ASSERT_TRUE(on.closed) << "batched transfer did not finish";
-    ASSERT_EQ(on.received, payload);  // byte-exact, whatever the wire did
-    EXPECT_EQ(on.quarantines, 0u);
-    EXPECT_EQ(on.slab_mbuf_in_use, 0u);
-    if (!gro) EXPECT_EQ(on.gro_merged, 0u);
-    if (gro) *gro_merges += on.gro_merged;
-    *batch_raises += on.batch_raises;
-  }
+  const StackOutcome on = RunTransfer(seed, /*batched=*/true, mode);
+  ASSERT_TRUE(on.closed) << "batched transfer did not finish";
+  ASSERT_EQ(on.received, payload);  // byte-exact, whatever the wire did
+  EXPECT_EQ(on.quarantines, 0u);
+  EXPECT_EQ(on.slab_mbuf_in_use, 0u);
+  *gro_merges += on.gro_merged;
+  *batch_raises += on.batch_raises;
 }
 
 TEST(BatchEquivalence, SeededTransfersDeliverIdenticalBytesInEveryMode) {

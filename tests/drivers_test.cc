@@ -2,8 +2,11 @@
 // injection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "batch_mode.h"
 #include "drivers/device_profile.h"
 #include "drivers/medium.h"
 #include "drivers/nic.h"
@@ -138,6 +141,57 @@ TEST(Nic, ReceiveInterruptChargesCpu) {
   const auto expected =
       cm.interrupt_entry + cm.interrupt_exit + profile.RxCpuCost(1014);
   EXPECT_EQ(f.hb.cpu().busy_total().ns(), expected.ns());
+}
+
+// The rx burst contract, on frames queued behind a stalled NIC and drained
+// on resume (their lengths, 114..118, tag arrival order). DMA rx costs the
+// same per frame.
+struct StalledRing : NicFixture {
+  explicit StalledRing(bool hooks) : NicFixture(DeviceProfile::DecT3()) {
+    nb.SetReceiveCallback([this](net::MbufPtr m) {
+      if (log.empty() || log.back() == "begin") first_upcall_charge = hb.charged_so_far();
+      log.push_back(std::to_string(m->PacketLength()));
+    });
+    if (hooks) {
+      nb.SetBurstHooks([this] { log.push_back("begin"); }, [this] { log.push_back("end"); });
+    }
+    nb.SetStalled(true);
+    for (std::size_t len = 100; len < 105; ++len) {
+      nb.DeliverFromWire(Frame(na.mac(), nb.mac(), len), /*check_address=*/true);
+    }
+    nb.SetStalled(false);
+    sim.RunFor(sim::Duration::Millis(10));
+  }
+  std::uint64_t Counter(const std::string& name) {
+    return hb.metrics().counter(nb.metrics_prefix() + name).value();
+  }
+
+  ScopedBatchMode batched{true};
+  std::vector<std::string> log;
+  sim::Duration first_upcall_charge;
+  const sim::Duration rx_cost = DeviceProfile::DecT3().RxCpuCost(114);
+};
+
+TEST(Nic, BurstIsABracketAroundPerFrameCallbacks) {
+  StalledRing r(/*hooks=*/true);
+  EXPECT_EQ(r.log, (std::vector<std::string>{"begin", "114", "115", "116", "117", "118", "end"}));
+  EXPECT_EQ(r.Counter("rx_bursts"), 1u);
+  EXPECT_EQ(r.Counter("rx_burst_frames"), 5u);
+  // One interrupt; every frame's driver cost is charged before the first upcall.
+  const auto& cm = r.hb.costs();
+  EXPECT_EQ(r.first_upcall_charge.ns(), (cm.interrupt_entry + r.rx_cost * 5).ns());
+  EXPECT_EQ(r.hb.cpu().busy_total().ns(),
+            (cm.interrupt_entry + r.rx_cost * 5 + cm.interrupt_exit).ns());
+}
+
+TEST(Nic, WithoutBurstHooksEveryFrameTakesItsOwnInterrupt) {
+  StalledRing r(/*hooks=*/false);
+  EXPECT_EQ(r.log, (std::vector<std::string>{"114", "115", "116", "117", "118"}));
+  EXPECT_EQ(r.Counter("rx_bursts"), 0u);
+  const auto& cm = r.hb.costs();
+  EXPECT_EQ(r.first_upcall_charge.ns(), (cm.interrupt_entry + r.rx_cost).ns());
+  EXPECT_EQ(r.hb.cpu().busy_total().ns(),
+            ((cm.interrupt_entry + r.rx_cost + cm.interrupt_exit) * 5).ns());
 }
 
 TEST(Medium, DropFaultsLoseFrames) {

@@ -2,8 +2,9 @@
 //
 // GroEngine is exercised standalone with hand-built segments: the coalesce
 // boundary table (flag changes, options, seq gaps, window updates, the
-// max-merge cap), the flush-timer-vs-batch-end race, checksum validity of
-// merged chains, and trace-id propagation through a merge. GSO is exercised
+// max-merge cap), checksum validity of merged chains, and trace-id
+// propagation through a merge. A chain flushes only at one of these
+// boundaries or at FlushAll (burst end). GSO is exercised
 // over a two-connection software pipe: an oversized send must reach the
 // wire as the same MSS-sized frames the per-packet path emits — same
 // boundaries, PSH placement, and per-frame checksums — while the jumbo
@@ -187,34 +188,6 @@ TEST(Gro, MaxMergeCapStartsANewChain) {
   f.gro.FlushAll();
   ASSERT_EQ(f.out.size(), 2u);
   EXPECT_EQ(f.PayloadOf(1), "cc");
-}
-
-TEST(Gro, FlushTimerDeliversAParkedChain) {
-  GroEngine::Config cfg;
-  cfg.flush_timeout = sim::Duration::Micros(50);
-  GroFixture f(cfg);
-  f.gro.Push(MakeSeg(100, "aaaa"), kSrc, kDst);
-  f.gro.Push(MakeSeg(104, "bbbb"), kSrc, kDst);
-  EXPECT_TRUE(f.gro.holding());
-  f.sim.RunFor(sim::Duration::Millis(1));
-  ASSERT_EQ(f.out.size(), 1u);
-  EXPECT_EQ(f.PayloadOf(0), "aaaabbbb");
-  EXPECT_TRUE(ChecksumValid(*f.out[0].seg));
-  EXPECT_EQ(f.gro.stats().timer_flushes, 1u);
-  EXPECT_FALSE(f.gro.holding());
-}
-
-TEST(Gro, BatchEndFlushBeatsTheTimerWithoutDoubleDelivery) {
-  GroEngine::Config cfg;
-  cfg.flush_timeout = sim::Duration::Micros(50);
-  GroFixture f(cfg);
-  f.gro.Push(MakeSeg(100, "aaaa"), kSrc, kDst);
-  f.gro.FlushAll();  // batch end wins the race
-  ASSERT_EQ(f.out.size(), 1u);
-  f.sim.RunFor(sim::Duration::Millis(1));  // the armed timer must be inert
-  EXPECT_EQ(f.out.size(), 1u);
-  EXPECT_EQ(f.gro.stats().flushes, 1u);
-  EXPECT_EQ(f.gro.stats().timer_flushes, 0u);
 }
 
 TEST(Gro, MergeKeepsTheHeadSegmentsTraceId) {

@@ -291,7 +291,7 @@ TEST(TcpChurn, BatchedModePinnedDeliversExactlyAndDrainsLeakFree) {
   // of what PLEXUS_BATCH resolves to): concurrent faulted connections ride
   // rx bursts, coalesced graph hops, GRO chains, and GSO jumbos — and must
   // still deliver exactly once, quarantine nothing, and hand every mbuf
-  // (including burst slot blocks and held GRO chains) back to the slabs.
+  // (held GRO chains included) back to the slabs.
   ScopedBatchMode batched(true);
   constexpr int kBatchConns = 300;
 

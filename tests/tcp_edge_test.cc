@@ -106,34 +106,45 @@ TEST(TcpEdge, TimeWaitReacksRetransmittedFin) {
   TcpPipe p(kDirect);
   p.Create();
   ASSERT_TRUE(p.Handshake(sim::Duration::Seconds(3)));
+  // The wire loses the client's first ACK of the server's FIN, so the
+  // server's retransmission timer resends the FIN. The client, already in
+  // TIME_WAIT, must re-ACK it and restart 2MSL from the re-ACK.
+  int server_fins = 0;
+  std::vector<sim::TimePoint> fin_acks;  // client segments sent after a server FIN
+  p.tap = [&](TcpPipe::Segment& s) {
+    if (!s.from_client) {
+      if ((s.hdr.flags & net::tcpflag::kFin) != 0) ++server_fins;
+      return true;
+    }
+    if (server_fins == 0) return true;
+    fin_acks.push_back(p.sim.Now());
+    return fin_acks.size() > 1;  // lose the first ACK of the FIN
+  };
   // Full close: a initiates.
   p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Close(); });
   p.sim.RunFor(sim::Duration::Seconds(1));
+  const auto sent_before_fin = p.client->stats().segments_sent;
   p.server_host.Submit(sim::Priority::kKernel, [&] { p.server->Close(); });
-  p.sim.RunFor(sim::Duration::Seconds(1));
+  p.sim.RunFor(sim::Duration::Seconds(5));
   ASSERT_EQ(p.client->state(), State::kTimeWait);
-  const auto acks_before = p.client->stats().segments_sent;
-  // b's FIN retransmission (simulate the lost final ACK case) must be
-  // re-acked and must restart 2MSL.
-  p.server_host.Submit(sim::Priority::kKernel, [&] {
-    // Force b to retransmit its FIN by rewinding nothing — directly craft
-    // is complex; instead deliver a duplicate of b's FIN by replaying
-    // Close() internals: simplest honest approach: run b's rexmt.
-    // Here we emulate by sending a FIN-flagged segment from b's state.
-  });
-  // Rather than surgery, verify TIME_WAIT expires into CLOSED.
-  p.sim.RunFor(sim::Duration::Seconds(40));
+  EXPECT_EQ(server_fins, 2);
+  ASSERT_EQ(fin_acks.size(), 2u);  // the lost ACK and exactly one re-ACK
+  EXPECT_EQ(p.client->stats().segments_sent, sent_before_fin + 2);
+  EXPECT_EQ(p.server->state(), State::kClosed);
+
+  const sim::Duration two_msl = TcpConfig{}.msl * 2;
+  const sim::Duration just_after = sim::Duration::Millis(10);
+  p.sim.RunUntil(fin_acks[0] + two_msl + just_after);
+  EXPECT_EQ(p.client->state(), State::kTimeWait);  // restarted at the re-ACK
+  p.sim.RunUntil(fin_acks[1] + two_msl + just_after);
   EXPECT_EQ(p.client->state(), State::kClosed);
-  EXPECT_GE(p.client->stats().segments_sent, acks_before);
 }
 
 TEST(TcpEdge, HalfCloseAllowsDataFromPeer) {
   TcpPipe p(kDirect);
   p.Create();
   ASSERT_TRUE(p.Handshake(sim::Duration::Seconds(3)));
-  std::string a_got;
-  // Reinstall a's on_data via a fresh connection is not possible; instead
-  // check byte counters: a closes, then b sends — a must still deliver.
+  // a closes, then b sends — a must still deliver.
   p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Close(); });
   p.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(p.client->state(), State::kFinWait2);
@@ -142,7 +153,6 @@ TEST(TcpEdge, HalfCloseAllowsDataFromPeer) {
   p.server_host.Submit(sim::Priority::kKernel, [&] { p.server->SendString("late data"); });
   p.sim.RunFor(sim::Duration::Seconds(1));
   EXPECT_EQ(p.client->stats().bytes_received, before + 9);
-  (void)a_got;
 }
 
 TEST(TcpEdge, MssOptionWithLeadingNopsParsed) {
@@ -295,14 +305,10 @@ TEST(TcpEdge, ConnectTimesOutAgainstBlackHole) {
   cfg.rto_max = sim::Duration::Seconds(2);  // keep the test fast
   p.Create(cfg, cfg);
   p.tap = [](TcpPipe::Segment&) { return false; };
-  bool closed = false;
-  // Recreate a with a close callback (Create was already called; patch via
-  // new connection).
   p.client_host.Submit(sim::Priority::kKernel, [&] { p.client->Connect(); });
   p.sim.RunFor(sim::Duration::Seconds(120));
   EXPECT_EQ(p.client->state(), State::kClosed);
   EXPECT_GT(p.client->stats().timeouts, 5u);
-  (void)closed;
 }
 
 // --- backoff bounds (chaos hardening) ---------------------------------------

@@ -252,16 +252,27 @@ TEST(Tcp, DuplicatedSegmentsDeliveredOnce) {
   TcpPipe pipe;
   pipe.Create();
   ASSERT_TRUE(pipe.Handshake());
-  // Duplicate suppression itself is covered by the retransmission tests;
-  // here the stream must arrive exactly once:
+  // The wire delivers every client data segment twice, the copy 1 ms after
+  // the original: the server takes in both and delivers the stream once.
+  std::uint64_t client_segments = 0, duplicates = 0;
+  pipe.tap = [&](TcpPipe::Segment& s) {
+    if (!s.from_client) return true;
+    ++client_segments;
+    if (s.payload_len > 0) {
+      ++duplicates;
+      pipe.Inject(s.delay + sim::Duration::Millis(1), s.packet.ShareClone());
+    }
+    return true;
+  };
+  const std::uint64_t received_before = pipe.server->stats().segments_received;
   std::vector<std::byte> data(3000);
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::byte>(i & 0xff);
   pipe.ClientSend(data);
   pipe.sim.RunFor(sim::Duration::Seconds(3));
+  ASSERT_GT(duplicates, 0u);
+  EXPECT_EQ(pipe.server->stats().segments_received - received_before,
+            client_segments + duplicates);
   ASSERT_EQ(pipe.server_rx.size(), data.size());
-
-  // Now force a spurious retransmission: rewind is internal, so emulate by
-  // a retransmission timeout — drop all ACKs briefly.
   EXPECT_EQ(pipe.server_rx, data);
 }
 
