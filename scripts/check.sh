@@ -41,7 +41,10 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
-export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"
+# detect_stack_use_after_return catches a callback that outlives the stack
+# frame whose locals it captured by reference (an event scheduled from
+# inside another event's lambda).
+export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0:detect_stack_use_after_return=1}"
 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure "$@"
 
 echo "=== second pass: observers armed (PLEXUS_TRACE=1 PLEXUS_PROFILE=1) ==="

@@ -10,9 +10,9 @@
 // histogram per site, plus byte counters for the allocation sites.
 //
 // Cost discipline:
-//   * Disabled (the default), a probe is one relaxed load and one
-//     predictable branch — asserted < 2% of the raise path by
-//     bench_micro_dispatch.
+//   * Disabled (the default), a probe stores nothing: opening it is one
+//     relaxed load and one predictable branch, closing it one more of
+//     each — asserted < 2% of the raise path by bench_micro_dispatch.
 //   * Enabled (PLEXUS_PROFILE=1 in the environment, or SetEnabled(true)),
 //     each probe takes two steady_clock reads. The profiler never touches
 //     the virtual clock, the schedulers, or any per-host state, so every
@@ -144,18 +144,20 @@ class Profiler {
 // RAII probe. Construct with the site; wall time between construction and
 // destruction accrues to the site's total, and to its self time minus any
 // probes opened inside it (tracked through an intrusive parent chain).
+// Disabled, a probe stores nothing: its members are written only when it
+// opens, and it closes only if it is the innermost open probe.
 class ProfileScope {
  public:
   explicit ProfileScope(Profiler::Site site) {
     if (!Profiler::enabled()) [[likely]] return;
-    active_ = true;
     site_ = site;
     parent_ = Profiler::current_;
+    child_ns_ = 0;
     Profiler::current_ = this;
     start_ns_ = NowNs();
   }
   ~ProfileScope() {
-    if (!active_) [[likely]] return;
+    if (Profiler::current_ != this) [[likely]] return;
     const std::uint64_t end = NowNs();
     const std::uint64_t elapsed = end >= start_ns_ ? end - start_ns_ : 0;
     Profiler::current_ = parent_;
@@ -174,11 +176,10 @@ class ProfileScope {
             .count());
   }
 
-  ProfileScope* parent_ = nullptr;
-  std::uint64_t start_ns_ = 0;
-  std::uint64_t child_ns_ = 0;
-  Profiler::Site site_{};
-  bool active_ = false;
+  ProfileScope* parent_;
+  std::uint64_t start_ns_;
+  std::uint64_t child_ns_;
+  Profiler::Site site_;
 };
 
 }  // namespace sim

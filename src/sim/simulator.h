@@ -88,6 +88,7 @@ class Simulator {
   std::size_t events_processed() const { return events_processed_; }
   // Live (scheduled, not yet fired or cancelled) events.
   std::size_t pending_events() const { return wheel_.size(); }
+  const TimerWheel& wheel() const { return wheel_; }  // for invariant checks
 
  private:
   std::size_t Drain(TimePoint horizon);

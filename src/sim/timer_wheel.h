@@ -12,18 +12,19 @@
 //              slot, node returned to the pool) the moment it is cancelled,
 //              so dead timers never occupy queue space — the fix for the
 //              binary heap's lazy-cancellation leak.
-//   Pop        amortized O(levels): each entry moves to a strictly lower
-//              level at most kLevels-1 times over its lifetime.
+//   Pop        one pass: the earliest entry leaves its slot and the rest of
+//              that slot moves down; an entry descends at most kLevels-1 times.
 //
-// Determinism. The pop order is exactly (deadline, seq): the cursor invariant
-// (cursor <= every pending deadline, advanced only to popped deadlines)
-// guarantees that after cascading the cursor's own slot on every level, each
-// entry sits at the level/slot its deadline implies relative to the cursor.
-// Levels are then strictly ordered in time, slots within a level are ordered,
-// and a level-0 slot holds exactly one deadline, inside which the minimum
-// seq is selected — exactly the order of a map keyed on (deadline, seq),
-// the oracle timer_wheel_test checks the wheel against. See DESIGN.md
-// section 11 for the invariant argument.
+// Determinism. The pop order is exactly (deadline, seq). Invariant: every
+// entry sits at the level/slot its deadline implies relative to the cursor,
+// which never exceeds a pending deadline. Levels are then strictly ordered
+// in time and slots within a level are ordered, so the global minimum is
+// in the first occupied slot of the lowest occupied level. Popping it moves
+// the cursor only in digits at or below that level, into that slot: only
+// the rest of that one slot becomes misplaced, and it is re-filed at once.
+// This is the order of a map keyed on (deadline, seq), the oracle
+// timer_wheel_test checks the wheel against after every operation
+// (CheckInvariants). See DESIGN.md section 11.
 //
 // Allocation: nodes live in a sim::IndexPool slab ("sched.wheel_node" in the
 // slab registry) and callbacks are sim::EventFn — inline-capture callables —
@@ -89,6 +90,10 @@ class TimerWheel {
   std::uint64_t cascade_moves() const { return cascade_moves_; }
   TimePoint cursor() const { return TimePoint::FromNanos(cursor_); }
 
+  // For tests: the placement invariant above, plus bitmap, node back-links
+  // (pos, level, slot_byte) and size() agreeing with the stored nodes.
+  bool CheckInvariants() const;
+
  private:
   struct Node {
     std::int64_t when = 0;
@@ -100,15 +105,14 @@ class TimerWheel {
   };
 
   int LevelFor(std::int64_t when) const;
-  int CursorSlot(int level) const {
+  static int SlotFor(std::int64_t when, int level) {
     return static_cast<int>(
-        (static_cast<std::uint64_t>(cursor_) >> (level * kLevelBits)) &
+        (static_cast<std::uint64_t>(when) >> (level * kLevelBits)) &
         (kSlotsPerLevel - 1));
   }
   int FirstSlot(int level) const;      // first occupied slot, or -1
   void Place(std::uint32_t idx);       // file node under the current cursor
   void RemoveFromSlot(std::uint32_t idx);
-  void CascadeSlot(int level, int slot);
   bool DecodeId(EventId id, std::uint32_t* idx) const;
 
   IndexPool<Node> pool_;
@@ -133,9 +137,7 @@ inline int TimerWheel::LevelFor(std::int64_t when) const {
 inline void TimerWheel::Place(std::uint32_t idx) {
   Node& n = pool_.at(idx);
   const int level = LevelFor(n.when);
-  const int slot = static_cast<int>(
-      (static_cast<std::uint64_t>(n.when) >> (level * kLevelBits)) &
-      (kSlotsPerLevel - 1));
+  const int slot = SlotFor(n.when, level);
   std::vector<std::uint32_t>& vec = slots_[level][slot];
   n.level = static_cast<std::uint8_t>(level);
   n.slot_byte = static_cast<std::uint8_t>(slot);

@@ -1,7 +1,9 @@
 // Unit tests for the discrete-event simulation substrate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -145,12 +147,17 @@ TEST(Simulator, RunUntilAfterStopKeepsTheClockBehindQueuedEvents) {
 
 TEST(Simulator, ScheduleInPastClampsToNow) {
   Simulator s;
+  bool ran = false;
+  TimePoint ran_at;
   s.Schedule(Duration::Micros(10), [&] {
-    bool ran = false;
-    s.ScheduleAt(TimePoint(), [&ran] { ran = true; });
-    (void)ran;
+    s.ScheduleAt(TimePoint(), [&] {
+      ran = true;
+      ran_at = s.Now();
+    });
   });
-  EXPECT_NO_FATAL_FAILURE(s.Run());
+  s.Run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(ran_at.ns(), Duration::Micros(10).ns());  // clamped to Now(), not time 0
   EXPECT_EQ(s.Now().us(), 10.0);
 }
 
@@ -316,6 +323,83 @@ TEST(Cpu, PreemptedChainRetainsFifoWithinPriority) {
   EXPECT_EQ(order[0], "irq");
   EXPECT_EQ(order[1], "t0");
   EXPECT_EQ(order[2], "t1");
+}
+
+// One seeded CPU script. Scheduled events submit tasks into an idle or a
+// busy CPU, and a quarter of the scripts power-fail it once mid-run. Tasks
+// run at all three priorities, charge zero or non-zero time, register After
+// callbacks, and submit further tasks from their logic and from those
+// callbacks. Every task's logic instant and every After (in firing order,
+// at the completion instant) is folded into an FNV-1a hash together with
+// preemptions() and busy_total() at that moment.
+class CpuScript {
+ public:
+  explicit CpuScript(std::uint64_t seed) : rng_(seed), cpu_(sim_) {}
+
+  std::uint64_t Run() {
+    for (int i = 0; i < 12; ++i) {
+      sim_.Schedule(Duration::Nanos(Draw(40000)), [this] { Submit(0); });
+    }
+    if (Draw(4) == 0) {
+      sim_.Schedule(Duration::Nanos(Draw(40000)), [this] {
+        cpu_.Reset();
+        Log(3, 0, 0);
+      });
+    }
+    sim_.Run();
+    Log(4, cpu_.tasks_run(), cpu_.queued());
+    return hash_;
+  }
+
+ private:
+  std::int64_t Draw(std::uint64_t n) { return static_cast<std::int64_t>(rng_() % n); }
+
+  void Submit(int depth) {
+    const std::uint64_t id = next_id_++;
+    cpu_.Submit(static_cast<Priority>(Draw(kNumPriorities)), [this, id, depth](CpuContext& ctx) {
+      Log(1, id, 0);
+      if (Draw(3) != 0) ctx.Charge(Duration::Nanos(Draw(5000)));
+      for (std::int64_t k = Draw(3); k > 0; --k) {
+        const bool spawn = depth < 3 && Draw(3) == 0;
+        ctx.After([this, id, k, depth, spawn] {
+          Log(2, id, static_cast<std::uint64_t>(k));
+          if (spawn) Submit(depth + 1);
+        });
+      }
+      if (depth < 3 && Draw(3) == 0) Submit(depth + 1);
+    });
+  }
+
+  void Log(std::uint64_t tag, std::uint64_t a, std::uint64_t b) {
+    for (const std::uint64_t v :
+         {tag, a, b, static_cast<std::uint64_t>(sim_.Now().ns()),
+          static_cast<std::uint64_t>(cpu_.preemptions()),
+          static_cast<std::uint64_t>(cpu_.busy_total().ns())}) {
+      for (int i = 0; i < 8; ++i) {
+        hash_ ^= (v >> (8 * i)) & 0xff;
+        hash_ *= 0x100000001b3ULL;
+      }
+    }
+  }
+
+  std::mt19937_64 rng_;
+  Simulator sim_;
+  Cpu cpu_;
+  std::uint64_t next_id_ = 0;
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+TEST(Cpu, SeededScriptsPinAfterOrderUnderPreemptionAndReset) {
+  // The CPU model's instants, preemptions and busy time are part of virtual
+  // time, so a host-side change to sim::Cpu (how it queues tasks or stores
+  // After callbacks) must leave this hash exactly as it is. Unlike the tests
+  // above, the scripts preempt tasks that hold After callbacks, submit from
+  // those callbacks, and reset the CPU mid-run.
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    hash = (hash ^ CpuScript(seed).Run()) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(hash, 0x675729e0542f11e5ULL);
 }
 
 TEST(Cpu, UtilizationHelper) {

@@ -75,6 +75,35 @@ TEST_F(ProfilerTest, NestedScopesSplitSelfFromTotal) {
   EXPECT_EQ(sim::Profiler::bytes(sim::Profiler::kMbufCloneBytes), 64u);
 }
 
+TEST_F(ProfilerTest, AProbeRecordsIfProfilingWasOnWhenItOpened) {
+  // The state when it closes does not matter. A probe that never opened
+  // leaves the nesting chain as it found it, so kMbufAlloc opens under none.
+  sim::Profiler::SetEnabled(false);
+  sim::Profiler::Reset();
+  {
+    PLEXUS_PROFILE_SCOPE(kTimerFire);
+    sim::Profiler::SetEnabled(true);
+    {
+      PLEXUS_PROFILE_SCOPE(kEventRaise);
+      sim::Profiler::SetEnabled(false);
+    }
+    {
+      PLEXUS_PROFILE_SCOPE(kDemuxLookup);
+      sim::Profiler::SetEnabled(true);
+    }
+  }
+  EXPECT_EQ(sim::Profiler::stats(sim::Profiler::kTimerFire).calls, 0u);
+  EXPECT_EQ(sim::Profiler::stats(sim::Profiler::kEventRaise).calls, 1u);
+  EXPECT_EQ(sim::Profiler::stats(sim::Profiler::kDemuxLookup).calls, 0u);
+  {
+    PLEXUS_PROFILE_SCOPE(kMbufAlloc);
+  }
+  EXPECT_EQ(sim::Profiler::stats(sim::Profiler::kMbufAlloc).calls, 1u);
+  EXPECT_EQ(sim::Profiler::TotalSelfNs(),
+            sim::Profiler::stats(sim::Profiler::kEventRaise).self_ns +
+                sim::Profiler::stats(sim::Profiler::kMbufAlloc).self_ns);
+}
+
 TEST_F(ProfilerTest, ExportsCarrySchemaAndRankedSites) {
   sim::Profiler::SetEnabled(true);
   sim::Profiler::Reset();

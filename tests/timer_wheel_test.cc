@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -120,9 +121,20 @@ struct Driver {
   std::vector<EventId> handles;
   std::vector<std::pair<int, std::int64_t>> log;  // (tag, fire time ns)
 
+  // The wheel's placement invariant; checked after every script operation
+  // and, from inside each callback, after every pop.
+  bool WheelSound() const {
+    if constexpr (std::is_same_v<Sched, Simulator>) {
+      return sim.wheel().CheckInvariants();
+    } else {
+      return true;
+    }
+  }
+
   // `stop`: the callback also calls Stop(), ending the run it fires in.
   void ScheduleTagged(int tag, Duration delay, bool stop = false) {
     handles.push_back(sim.Schedule(delay, [this, tag, stop] {
+      EXPECT_TRUE(WheelSound()) << "after popping tag " << tag;
       log.emplace_back(tag, sim.Now().ns());
       if (stop) sim.Stop();
       // Every third event schedules a child from inside its callback, with
@@ -206,6 +218,7 @@ void RunScript(std::uint64_t seed, int ops) {
         break;
       }
     }
+    ASSERT_TRUE(wheel.WheelSound()) << "seed " << seed << " op " << op;
     ASSERT_GE(wheel.sim.Now(), last_now) << "clock ran backwards, seed " << seed << " op " << op;
     last_now = wheel.sim.Now();
     ASSERT_EQ(ref.sim.pending_events(), wheel.sim.pending_events())
@@ -250,6 +263,7 @@ TEST(SchedulerEquivalence, DenseTieStorm) {
       const Duration d = Duration::Micros(static_cast<std::int64_t>(rng.Below(4)));
       ref.ScheduleTagged(i, d);
       wheel.ScheduleTagged(i, d);
+      ASSERT_TRUE(wheel.WheelSound()) << "seed " << seed << " schedule " << i;
     }
     ref.sim.Run();
     wheel.sim.Run();
@@ -306,6 +320,53 @@ TEST(TimerWheel, LongHorizonCascadesDown) {
   fn();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
   EXPECT_GT(w.cascade_moves(), 0u);
+}
+
+TEST(TimerWheel, LoneEntryPopsWithoutCascading) {
+  // A lone entry is the minimum of its slot wherever it sits, so it pops
+  // straight from its own level: 0 ns to 300 s ahead, levels 0 through 4.
+  TimerWheel w;
+  std::uint64_t seq = 0;
+  for (std::int64_t ahead = 0; ahead <= Duration::Seconds(300).ns(); ahead = ahead * 3 + 1) {
+    const std::int64_t due = w.cursor().ns() + ahead;
+    w.Schedule(TimePoint::FromNanos(due), seq++, [] {});
+    ASSERT_TRUE(w.CheckInvariants()) << "ahead " << ahead;
+    TimePoint when;
+    sim::EventFn fn;
+    ASSERT_TRUE(w.PopDueBefore(TimePoint::Max(), &when, &fn));
+    EXPECT_EQ(when.ns(), due);
+    ASSERT_TRUE(w.CheckInvariants()) << "ahead " << ahead;
+  }
+  EXPECT_GT(seq, 20u);
+  EXPECT_EQ(w.cascade_moves(), 0u);
+}
+
+TEST(TimerWheel, FirstPopFromASharedSlotRefilesTheRest) {
+  // Deadlines 300 s out that differ only in their low 32 bits share one
+  // level-4 slot. They pop in (deadline, seq) order, and the first pop
+  // re-files exactly the other k-1 below.
+  TimerWheel w;
+  const std::int64_t base = Duration::Seconds(300).ns();
+  const std::vector<std::int64_t> offsets = {900, 5, 70000, 5, 3000000, 0, 900};
+  std::vector<std::pair<std::int64_t, std::uint64_t>> expected, popped;
+  std::uint64_t fired_seq = 0;
+  for (std::uint64_t seq = 0; seq < offsets.size(); ++seq) {
+    const std::int64_t due = base + offsets[seq];
+    w.Schedule(TimePoint::FromNanos(due), seq, [&fired_seq, seq] { fired_seq = seq; });
+    expected.emplace_back(due, seq);
+  }
+  std::sort(expected.begin(), expected.end());
+  TimePoint when;
+  sim::EventFn fn;
+  while (w.PopDueBefore(TimePoint::Max(), &when, &fn)) {
+    if (popped.empty()) {
+      EXPECT_EQ(w.cascade_moves(), offsets.size() - 1);
+    }
+    ASSERT_TRUE(w.CheckInvariants()) << "after pop " << popped.size();
+    fn();
+    popped.emplace_back(when.ns(), fired_seq);
+  }
+  EXPECT_EQ(popped, expected);
 }
 
 TEST(TimerWheel, HorizonBoundsPop) {
